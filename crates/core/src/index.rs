@@ -236,17 +236,6 @@ impl BatchIndex {
         self.work.view.set_policy(policy);
     }
 
-    #[deprecated(note = "use `set_compaction(CompactionPolicy { fraction, .. })` instead")]
-    pub fn set_compaction_fraction(&mut self, fraction: f32) {
-        let min_entries = self.config.compaction.min_entries;
-        self.set_compaction(CompactionPolicy::new(fraction, min_entries));
-    }
-
-    #[deprecated(note = "use `set_compaction(CompactionPolicy::new(fraction, min_entries))`")]
-    pub fn set_compaction_policy(&mut self, fraction: f32, min_entries: usize) {
-        self.set_compaction(CompactionPolicy::new(fraction, min_entries));
-    }
-
     pub fn graph(&self) -> &DynamicGraph {
         &self.work.graph
     }
@@ -845,18 +834,6 @@ mod tests {
                 assert_eq!(expect, got, "relabeled twin diverged at s={s} k={k}");
             }
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_compaction_setters_delegate_to_policy() {
-        let mut index = BatchIndex::build(path(6), config(Algorithm::BhlPlus, 1));
-        index.set_compaction_fraction(0.5);
-        assert_eq!(index.config().compaction.fraction, 0.5);
-        index.set_compaction_policy(0.25, 7);
-        assert_eq!(index.config().compaction, CompactionPolicy::new(0.25, 7));
-        index.set_compaction(CompactionPolicy::eager(0.1));
-        assert_eq!(index.config().compaction.min_entries, 0);
     }
 
     #[test]

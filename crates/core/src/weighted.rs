@@ -45,7 +45,8 @@ use batchhl_graph::weighted::{
 };
 use batchhl_graph::WeightedCsrDelta;
 use batchhl_hcl::{
-    sweep_min_targets, LabelError, LabelStore, Labelling, PatchedLabels, SourcePlan, Versioned,
+    sweep_min_targets, LabelError, LabelStore, Labelling, LandmarkSelection, PatchedLabels,
+    SourcePlan, Versioned,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -288,9 +289,8 @@ impl Clone for WeightedBatchIndex {
 impl WeightedBatchIndex {
     /// Build with `k` top-degree landmarks.
     pub fn build(graph: WeightedGraph, k: usize) -> Self {
-        let mut order = graph.vertices_by_degree();
-        order.truncate(k.min(graph.num_vertices()));
-        Self::build_with_landmarks(graph, order).expect("top-degree landmarks are valid")
+        let landmarks = LandmarkSelection::TopDegree(k).select_weighted(&graph);
+        Self::build_with_landmarks(graph, landmarks).expect("top-degree landmarks are valid")
     }
 
     /// Build over an explicit landmark set; fails on invalid landmarks

@@ -12,7 +12,7 @@
 //!   speed;
 //! * a **scoped label patch** ([`LabelPatch`]) — the same search +
 //!   repair kernels a committed batch runs
-//!   ([`engine::run_landmarks_speculative`]) write into detached
+//!   (`engine::run_landmarks_speculative`) write into detached
 //!   copies of the affected landmark rows instead of the labelling.
 //!
 //! Queries then run the ordinary Section 4 paths over a

@@ -9,6 +9,7 @@
 use batchhl_common::SplitMix64;
 use batchhl_graph::weighted::WeightedGraph;
 use batchhl_graph::{DynamicDiGraph, DynamicGraph, Vertex};
+use std::cmp::Reverse;
 
 /// Strategy for choosing the landmark set `R`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,56 +31,28 @@ impl LandmarkSelection {
 
     /// Materialize the landmark set for an undirected graph.
     pub fn select(&self, g: &DynamicGraph) -> Vec<Vertex> {
-        match self {
-            LandmarkSelection::TopDegree(k) => {
-                let mut order = g.vertices_by_degree();
-                order.truncate((*k).min(g.num_vertices()));
-                order
-            }
-            LandmarkSelection::Random { count, seed } => {
-                let mut rng = SplitMix64::new(*seed);
-                let mut all: Vec<Vertex> = (0..g.num_vertices() as Vertex).collect();
-                rng.shuffle(&mut all);
-                all.truncate((*count).min(g.num_vertices()));
-                all
-            }
-            LandmarkSelection::Explicit(list) => list.clone(),
-        }
+        self.materialize(g.num_vertices(), |v| g.degree(v))
     }
 
     /// Materialize the landmark set for a weighted graph (degree
     /// ignores weights — hub coverage is structural).
     pub fn select_weighted(&self, g: &WeightedGraph) -> Vec<Vertex> {
-        match self {
-            LandmarkSelection::TopDegree(k) => {
-                let mut order = g.vertices_by_degree();
-                order.truncate((*k).min(g.num_vertices()));
-                order
-            }
-            LandmarkSelection::Random { count, seed } => {
-                let mut rng = SplitMix64::new(*seed);
-                let mut all: Vec<Vertex> = (0..g.num_vertices() as Vertex).collect();
-                rng.shuffle(&mut all);
-                all.truncate((*count).min(g.num_vertices()));
-                all
-            }
-            LandmarkSelection::Explicit(list) => list.clone(),
-        }
+        self.materialize(g.num_vertices(), |v| g.degree(v))
     }
 
     /// Materialize the landmark set for a directed graph (total degree).
     pub fn select_directed(&self, g: &DynamicDiGraph) -> Vec<Vertex> {
+        self.materialize(g.num_vertices(), |v| g.degree(v))
+    }
+
+    fn materialize(&self, n: usize, degree: impl Fn(Vertex) -> usize) -> Vec<Vertex> {
         match self {
-            LandmarkSelection::TopDegree(k) => {
-                let mut order = g.vertices_by_degree();
-                order.truncate((*k).min(g.num_vertices()));
-                order
-            }
+            LandmarkSelection::TopDegree(k) => top_degree(n, *k, degree),
             LandmarkSelection::Random { count, seed } => {
                 let mut rng = SplitMix64::new(*seed);
-                let mut all: Vec<Vertex> = (0..g.num_vertices() as Vertex).collect();
+                let mut all: Vec<Vertex> = (0..n as Vertex).collect();
                 rng.shuffle(&mut all);
-                all.truncate((*count).min(g.num_vertices()));
+                all.truncate((*count).min(n));
                 all
             }
             LandmarkSelection::Explicit(list) => list.clone(),
@@ -87,10 +60,25 @@ impl LandmarkSelection {
     }
 }
 
+/// The `k` highest-degree vertices of `0..n`, ties by vertex id — the
+/// first `k` of `vertices_by_degree()` — without sorting all `n`: a
+/// linear-time selection of the prefix, then a sort of the prefix alone.
+fn top_degree(n: usize, k: usize, degree: impl Fn(Vertex) -> usize) -> Vec<Vertex> {
+    let k = k.min(n);
+    let key = |&v: &Vertex| (Reverse(degree(v)), v);
+    let mut order: Vec<Vertex> = (0..n as Vertex).collect();
+    if k < n {
+        order.select_nth_unstable_by_key(k, key);
+        order.truncate(k);
+    }
+    order.sort_unstable_by_key(key);
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use batchhl_graph::generators::star;
+    use batchhl_graph::generators::{self, star};
 
     #[test]
     fn top_degree_picks_hub_first() {
@@ -124,6 +112,34 @@ mod tests {
         let g = star(5);
         let lms = LandmarkSelection::Explicit(vec![4, 2]).select(&g);
         assert_eq!(lms, vec![4, 2]);
+    }
+
+    #[test]
+    fn top_degree_is_the_prefix_of_the_full_degree_order() {
+        // Tie-heavy shapes: one hub and equal leaves, a grid's three
+        // degree classes, a complete graph where every degree ties.
+        let graphs = [
+            generators::star(40),
+            generators::grid(7, 6),
+            generators::complete(12),
+            generators::barabasi_albert(300, 2, 5),
+        ];
+        for g in &graphs {
+            let n = g.num_vertices();
+            let full = g.vertices_by_degree();
+            for k in [0, 1, 20, n - 1, n, n + 3] {
+                let got = LandmarkSelection::TopDegree(k).select(g);
+                assert_eq!(got, full[..k.min(n)], "n={n} k={k}");
+            }
+        }
+        let d = DynamicDiGraph::from_edges(6, &[(0, 1), (2, 1), (3, 4), (4, 5), (5, 3)]);
+        let w = WeightedGraph::from_edges(5, &[(0, 1, 7), (1, 2, 1), (3, 4, 2)]);
+        for k in [1, 3, 6] {
+            let got = LandmarkSelection::TopDegree(k).select_directed(&d);
+            assert_eq!(got, d.vertices_by_degree()[..k.min(6)]);
+            let got = LandmarkSelection::TopDegree(k).select_weighted(&w);
+            assert_eq!(got, w.vertices_by_degree()[..k.min(5)]);
+        }
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!   highway matrix,
 //! * [`kernel`] — SIMD min-plus kernels (SSE2/AVX2 with runtime
 //!   detection, branch-free scalar default) serving the Eq. 3 scans,
-//! * [`build`] — construction by flagged BFS (sequential and parallel),
+//! * [`build`] — construction by one multi-source flagged BFS per wave
+//!   of up to 64 landmarks (u64 landmark masks per vertex), waves split
+//!   over threads,
 //! * [`query`] — the combined labelling + bounded-search query engine,
 //! * [`store`] — the generation-based shared label store: immutable
 //!   published snapshots, lock-free reader handles, atomic-swap
