@@ -6,7 +6,7 @@ use batchhl_bench::bench_config;
 use batchhl_bench::bench_support::{bench_graph, BENCH_LANDMARKS};
 use batchhl_common::EpochCache;
 use batchhl_core::workspace::dl_old;
-use batchhl_hcl::{build_labelling, LandmarkSelection};
+use batchhl_hcl::{build_labelling, LabelView, LandmarkSelection};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 

@@ -119,7 +119,7 @@ fn bench(c: &mut Criterion) {
         let mut engine = QueryEngine::new(n);
         b.iter(|| {
             for &(s, t) in &pairs {
-                black_box(engine.query_dist(&published.lab, &published.view, s, t));
+                black_box(engine.query_dist(&published.lab, &published.lab, &published.view, s, t));
             }
         });
     });
@@ -127,7 +127,13 @@ fn bench(c: &mut Criterion) {
         let mut engine = QueryEngine::new(n);
         b.iter(|| {
             for &(s, t) in &pairs {
-                black_box(engine.query_dist(&published.lab, &published.graph, s, t));
+                black_box(engine.query_dist(
+                    &published.lab,
+                    &published.lab,
+                    &published.graph,
+                    s,
+                    t,
+                ));
             }
         });
     });

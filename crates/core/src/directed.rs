@@ -16,7 +16,9 @@
 //! A query `d(s, t)` combines `d(s→r_i)` (backward labels of `s`),
 //! `δ_Hf(r_i, r_j)` and `d(r_j→t)` (forward labels of `t`) into the
 //! upper bound of Eq. 3, then refines with a directed bounded
-//! bidirectional BFS on `G[V \ R]`.
+//! bidirectional BFS on `G[V \ R]` — the shared query path of
+//! [`batchhl_hcl::QueryEngine`] with `(bwd, fwd)` as its source and
+//! target views.
 //!
 //! Like the undirected index, the directed index publishes immutable
 //! `(graph, forward, backward)` generations; [`DirectedBatchIndex::reader`]
@@ -27,21 +29,14 @@ use crate::reader::{DirectedReader, SharedReader, SnapshotQuery};
 use crate::stats::UpdateStats;
 use crate::workspace::UpdateWorkspace;
 use batchhl_common::{Dist, Vertex, INF};
-use batchhl_graph::bfs::BiBfs;
-use batchhl_graph::{AdjacencyView, Batch, CsrDiDelta, DynamicDiGraph, Reversed, Update};
+use batchhl_graph::{Batch, CsrDiDelta, DynamicDiGraph, Reversed, Update};
 use batchhl_hcl::{
-    build_labelling_parallel, upper_bound_pair_patched, LabelError, LabelStore, Labelling,
-    PatchedLabels, SourcePlan, Versioned,
+    build_labelling_parallel, LabelError, LabelStore, Labelling, QueryEngine, SourcePlan, Versioned,
 };
 use std::sync::Arc;
 use std::time::Instant;
 
 pub use crate::index::{Algorithm, CompactionPolicy, IndexConfig};
-
-/// Batched directed calls switch to a single forward sweep once the
-/// adaptive threshold of unresolved targets is reached (mirrors
-/// [`batchhl_hcl::sweep_min_targets`]).
-use batchhl_hcl::sweep_min_targets;
 
 /// One immutable generation of the directed index. `graph` is the
 /// writer's mutation substrate; `view` is the frozen two-direction CSR
@@ -84,7 +79,7 @@ pub struct DirectedBatchIndex {
     recycler: engine::Recycler<DirectedSnapshot, PassLog>,
     config: IndexConfig,
     ws: UpdateWorkspace,
-    bibfs: BiBfs,
+    engine: QueryEngine,
 }
 
 impl Clone for DirectedBatchIndex {
@@ -96,7 +91,7 @@ impl Clone for DirectedBatchIndex {
             recycler: engine::Recycler::new(),
             config: self.config.clone(),
             ws: UpdateWorkspace::new(n),
-            bibfs: BiBfs::new(n),
+            engine: QueryEngine::new(n),
         }
     }
 }
@@ -124,7 +119,7 @@ impl DirectedBatchIndex {
             recycler: engine::Recycler::new(),
             config,
             ws: UpdateWorkspace::new(n),
-            bibfs: BiBfs::new(n),
+            engine: QueryEngine::new(n),
         }
     }
 
@@ -180,7 +175,7 @@ impl DirectedBatchIndex {
             recycler: engine::Recycler::new(),
             config,
             ws: UpdateWorkspace::new(n),
-            bibfs: BiBfs::new(n),
+            engine: QueryEngine::new(n),
         })
     }
 
@@ -245,35 +240,28 @@ impl DirectedBatchIndex {
 
     /// As [`DirectedBatchIndex::query`] with `INF` for unreachable.
     pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        directed_query_dist(
-            &self.work.view,
-            &self.work.fwd,
-            &self.work.bwd,
-            &mut self.bibfs,
-            s,
-            t,
-        )
+        self.work.snapshot_query_dist(&mut self.engine, s, t)
     }
 
     /// Eq. 3 for directed graphs: `min_{i,j} d(s→r_i) + δ_Hf(r_i, r_j)
     /// + d(r_j→t)` over the backward labels of `s` and forward labels
     /// of `t`.
     pub fn upper_bound(&self, s: Vertex, t: Vertex) -> Dist {
-        directed_upper_bound(&self.work.fwd, &self.work.bwd, s, t)
+        SourcePlan::new(&self.work.bwd, &self.work.fwd, s).bound_to(&self.work.fwd, t)
     }
 
     /// Batched pair queries (order of results matches `pairs`); pairs
     /// sharing a source reuse one [`SourcePlan`] over `s`'s backward
     /// labels.
     pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        crate::reader::query_many_on(&self.work, &mut self.bibfs, pairs)
+        crate::reader::query_many_on(&self.work, &mut self.engine, pairs)
     }
 
     /// One-source-to-many-targets directed distances `d(s → t)`;
     /// `None` marks unreachable or out-of-range endpoints.
     pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
         self.work
-            .snapshot_distances_from(&mut self.bibfs, s, targets)
+            .snapshot_distances_from(&mut self.engine, s, targets)
             .into_iter()
             .map(|d| (d != INF).then_some(d))
             .collect()
@@ -282,7 +270,7 @@ impl DirectedBatchIndex {
     /// The `k` vertices closest to `s` by forward distance `d(s → v)`
     /// (excluding `s`), nondecreasing by distance.
     pub fn top_k_closest(&mut self, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        self.work.snapshot_top_k(&mut self.bibfs, s, k)
+        self.work.snapshot_top_k(&mut self.engine, s, k)
     }
 
     /// Apply a batch of *directed* updates (Algorithm 1, run once per
@@ -410,7 +398,7 @@ impl DirectedBatchIndex {
         self.recycler.clear();
         let n = self.work.graph.num_vertices();
         self.ws = UpdateWorkspace::new(n);
-        self.bibfs = BiBfs::new(n);
+        self.engine = QueryEngine::new(n);
     }
 }
 
@@ -418,188 +406,6 @@ impl DirectedBatchIndex {
 /// CSR view's absorption re-freezes.
 fn arc_list(norm: &Batch) -> Vec<(Vertex, Vertex)> {
     norm.updates().iter().map(|u| u.endpoints()).collect()
-}
-
-/// The directed query path, shared by the owning index and its readers
-/// (generic so readers traverse the published CSR view).
-pub(crate) fn directed_query_dist<A: AdjacencyView>(
-    graph: &A,
-    fwd: &Labelling,
-    bwd: &Labelling,
-    bibfs: &mut BiBfs,
-    s: Vertex,
-    t: Vertex,
-) -> Dist {
-    let n = graph.num_vertices();
-    if (s as usize) >= n || (t as usize) >= n {
-        return INF;
-    }
-    if s == t {
-        return 0;
-    }
-    // Landmark endpoints: exact via the highway cover property.
-    if let Some(i) = fwd.landmark_index(s) {
-        return fwd.landmark_to_vertex(i, t);
-    }
-    if let Some(j) = bwd.landmark_index(t) {
-        return bwd.landmark_to_vertex(j, s);
-    }
-    let bound = directed_upper_bound(fwd, bwd, s, t);
-    let found = bibfs.run(graph, s, t, bound, |v| !fwd.is_landmark(v));
-    found.unwrap_or(bound)
-}
-
-/// The directed one-to-many path, shared by the owning index and its
-/// readers: one [`SourcePlan`] over the backward labels of `s` prices
-/// every target's Eq. 3 bound in `O(|R|)`, and once
-/// [`sweep_min_targets`] targets need search refinement a single
-/// bounded forward BFS sweep of `G[V\R]` from `s` replaces the
-/// per-target bidirectional searches.
-pub(crate) fn directed_distances_from<A: AdjacencyView>(
-    graph: &A,
-    fwd: &Labelling,
-    bwd: &Labelling,
-    bibfs: &mut BiBfs,
-    s: Vertex,
-    targets: &[Vertex],
-) -> Vec<Dist> {
-    let n = graph.num_vertices();
-    let mut out = vec![INF; targets.len()];
-    if (s as usize) >= n {
-        return out;
-    }
-    // A landmark source is exact from the forward labelling (Eq. 2).
-    if let Some(i) = fwd.landmark_index(s) {
-        for (slot, &t) in out.iter_mut().zip(targets) {
-            if (t as usize) < n {
-                *slot = fwd.landmark_to_vertex(i, t);
-            }
-        }
-        return out;
-    }
-    let plan = SourcePlan::new(bwd, fwd, s);
-    let mut refine: Vec<usize> = Vec::new();
-    for (k, &t) in targets.iter().enumerate() {
-        if (t as usize) >= n {
-            continue;
-        }
-        if t == s {
-            out[k] = 0;
-            continue;
-        }
-        if let Some(j) = bwd.landmark_index(t) {
-            out[k] = bwd.landmark_to_vertex(j, s);
-            continue;
-        }
-        out[k] = plan.bound_to(fwd, t);
-        refine.push(k);
-    }
-    if refine.len() >= sweep_min_targets(n) {
-        let horizon = refine.iter().map(|&k| out[k]).max().unwrap_or(0);
-        bibfs.sweep(graph, s, horizon, usize::MAX, |v| !fwd.is_landmark(v));
-        for &k in &refine {
-            out[k] = out[k].min(bibfs.sweep_dist(targets[k]));
-        }
-    } else {
-        for &k in &refine {
-            let bound = out[k];
-            let found = bibfs.run(graph, s, targets[k], bound, |v| !fwd.is_landmark(v));
-            out[k] = found.unwrap_or(bound);
-        }
-    }
-    out
-}
-
-/// Eq. 3 over a backward/forward labelling pair: the shared packed
-/// implementation with `s` priced from the backward labels and the
-/// highway + target labels from the forward labelling.
-pub(crate) fn directed_upper_bound(fwd: &Labelling, bwd: &Labelling, s: Vertex, t: Vertex) -> Dist {
-    batchhl_hcl::upper_bound_pair(bwd, fwd, fwd, s, t)
-}
-
-/// As [`directed_query_dist`] over patched labelling views — the
-/// per-pair path of a directed what-if session. `graph` is the
-/// session's private two-direction overlay.
-pub(crate) fn directed_query_dist_patched<A: AdjacencyView>(
-    graph: &A,
-    fwd: &PatchedLabels<'_>,
-    bwd: &PatchedLabels<'_>,
-    bibfs: &mut BiBfs,
-    s: Vertex,
-    t: Vertex,
-) -> Dist {
-    let n = graph.num_vertices();
-    if (s as usize) >= n || (t as usize) >= n {
-        return INF;
-    }
-    if s == t {
-        return 0;
-    }
-    if let Some(i) = fwd.landmark_index(s) {
-        return fwd.landmark_to_vertex(i, t);
-    }
-    if let Some(j) = bwd.landmark_index(t) {
-        return bwd.landmark_to_vertex(j, s);
-    }
-    let bound = upper_bound_pair_patched(bwd, fwd, fwd, s, t);
-    let found = bibfs.run(graph, s, t, bound, |v| !fwd.is_landmark(v));
-    found.unwrap_or(bound)
-}
-
-/// As [`directed_distances_from`] over patched labelling views, with
-/// the same landmark-source, sweep-vs-search and range handling.
-pub(crate) fn directed_distances_from_patched<A: AdjacencyView>(
-    graph: &A,
-    fwd: &PatchedLabels<'_>,
-    bwd: &PatchedLabels<'_>,
-    bibfs: &mut BiBfs,
-    s: Vertex,
-    targets: &[Vertex],
-) -> Vec<Dist> {
-    let n = graph.num_vertices();
-    let mut out = vec![INF; targets.len()];
-    if (s as usize) >= n {
-        return out;
-    }
-    if let Some(i) = fwd.landmark_index(s) {
-        for (slot, &t) in out.iter_mut().zip(targets) {
-            if (t as usize) < n {
-                *slot = fwd.landmark_to_vertex(i, t);
-            }
-        }
-        return out;
-    }
-    let plan = SourcePlan::new_patched(bwd, fwd, s);
-    let mut refine: Vec<usize> = Vec::new();
-    for (k, &t) in targets.iter().enumerate() {
-        if (t as usize) >= n {
-            continue;
-        }
-        if t == s {
-            out[k] = 0;
-            continue;
-        }
-        if let Some(j) = bwd.landmark_index(t) {
-            out[k] = bwd.landmark_to_vertex(j, s);
-            continue;
-        }
-        out[k] = plan.bound_to_patched(fwd, t);
-        refine.push(k);
-    }
-    if refine.len() >= sweep_min_targets(n) {
-        let horizon = refine.iter().map(|&k| out[k]).max().unwrap_or(0);
-        bibfs.sweep(graph, s, horizon, usize::MAX, |v| !fwd.is_landmark(v));
-        for &k in &refine {
-            out[k] = out[k].min(bibfs.sweep_dist(targets[k]));
-        }
-    } else {
-        for &k in &refine {
-            let bound = out[k];
-            let found = bibfs.run(graph, s, targets[k], bound, |v| !fwd.is_landmark(v));
-            out[k] = found.unwrap_or(bound);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -285,17 +285,14 @@ impl BatchIndex {
     /// the CSR view). Answers against the *working* snapshot — the
     /// owner always sees its own latest batch.
     pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        let n = self.work.view.num_vertices();
-        if (s as usize) >= n || (t as usize) >= n {
-            return None;
-        }
-        self.engine.query(&self.work.lab, &self.work.view, s, t)
+        let d = self.query_dist(s, t);
+        (d != INF).then_some(d)
     }
 
-    /// As [`BatchIndex::query`], returning `INF` for disconnected pairs.
+    /// As [`BatchIndex::query`], returning `INF` for disconnected or
+    /// out-of-range pairs.
     pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        self.engine
-            .query_dist(&self.work.lab, &self.work.view, s, t)
+        self.work.snapshot_query_dist(&mut self.engine, s, t)
     }
 
     /// Batched pair queries: groups the pairs by source and reuses the

@@ -124,4 +124,7 @@ pub use reader::{DirectedReader, Reader, SharedReader, SnapshotQuery, WeightedRe
 pub use stats::UpdateStats;
 pub use wal::{recover_wal, TxnId, WalRecord, WalRecovery, WalWriter};
 pub use weighted::{WeightedBatchIndex, WeightedSnapshot};
-pub use whatif::{DirectedWhatIf, SnapshotWhatIf, WeightedWhatIf, WhatIf, WhatIfQuery};
+pub use whatif::{
+    DirectedHypothesis, DirectedWhatIf, Hypothesis, Session, SnapshotWhatIf, WeightedHypothesis,
+    WeightedWhatIf, WhatIf, WhatIfQuery,
+};

@@ -11,8 +11,9 @@
 //! One generic [`GenReader`] serves every index variant: a snapshot
 //! type describes how to answer a query against itself (the
 //! [`SnapshotQuery`] trait — which search engine it needs and which
-//! query path to run), and the reader supplies the pin/refresh
-//! machinery once. [`Reader`], [`DirectedReader`] and
+//! label views and graph it hands to the shared
+//! [`batchhl_hcl::QueryEngine`]), and the reader supplies the
+//! pin/refresh machinery once. [`Reader`], [`DirectedReader`] and
 //! [`WeightedReader`] are aliases.
 //!
 //! Two query modes:
@@ -28,13 +29,10 @@
 //! reader never observes a half-applied batch, because generations are
 //! immutable snapshots swapped in atomically.
 
-use crate::directed::{directed_distances_from, directed_query_dist, DirectedSnapshot};
+use crate::directed::DirectedSnapshot;
 use crate::index::IndexSnapshot;
-use crate::weighted::{
-    weighted_distances_from, weighted_query_dist, weighted_top_k, WeightedSnapshot,
-};
+use crate::weighted::WeightedSnapshot;
 use batchhl_common::{Dist, Vertex, INF};
-use batchhl_graph::bfs::BiBfs;
 use batchhl_graph::weighted::BiDijkstra;
 use batchhl_hcl::{LabelStore, QueryEngine, ReaderHandle, Versioned};
 use std::fmt::Debug;
@@ -74,16 +72,14 @@ pub trait SnapshotQuery {
 
 // Every snapshot answers over its frozen CSR view (`snapshot.view`),
 // not the dynamic writer graph it also carries: reader traversal is
-// sequential array access.
+// sequential array access. All three families run the one Section 4
+// path of `QueryEngine`; directed snapshots price sources from the
+// backward labelling and targets from the forward one.
 impl SnapshotQuery for IndexSnapshot {
     type Engine = QueryEngine;
 
     fn snapshot_query_dist(&self, engine: &mut QueryEngine, s: Vertex, t: Vertex) -> Dist {
-        let n = self.view.num_vertices();
-        if (s as usize) >= n || (t as usize) >= n {
-            return INF;
-        }
-        engine.query_dist(&self.lab, &self.view, s, t)
+        engine.query_dist(&self.lab, &self.lab, &self.view, s, t)
     }
 
     fn snapshot_distances_from(
@@ -92,7 +88,7 @@ impl SnapshotQuery for IndexSnapshot {
         s: Vertex,
         targets: &[Vertex],
     ) -> Vec<Dist> {
-        engine.distances_from(&self.lab, &self.view, s, targets)
+        engine.distances_from(&self.lab, &self.lab, &self.view, s, targets)
     }
 
     fn snapshot_top_k(&self, engine: &mut QueryEngine, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
@@ -101,44 +97,49 @@ impl SnapshotQuery for IndexSnapshot {
 }
 
 impl SnapshotQuery for DirectedSnapshot {
-    type Engine = BiBfs;
+    type Engine = QueryEngine;
 
-    fn snapshot_query_dist(&self, engine: &mut BiBfs, s: Vertex, t: Vertex) -> Dist {
-        directed_query_dist(&self.view, &self.fwd, &self.bwd, engine, s, t)
+    fn snapshot_query_dist(&self, engine: &mut QueryEngine, s: Vertex, t: Vertex) -> Dist {
+        engine.query_dist(&self.bwd, &self.fwd, &self.view, s, t)
     }
 
     fn snapshot_distances_from(
         &self,
-        engine: &mut BiBfs,
+        engine: &mut QueryEngine,
         s: Vertex,
         targets: &[Vertex],
     ) -> Vec<Dist> {
-        directed_distances_from(&self.view, &self.fwd, &self.bwd, engine, s, targets)
+        engine.distances_from(&self.bwd, &self.fwd, &self.view, s, targets)
     }
 
-    fn snapshot_top_k(&self, engine: &mut BiBfs, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        batchhl_hcl::query::bfs_top_k(engine, &self.view, s, k)
+    fn snapshot_top_k(&self, engine: &mut QueryEngine, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
+        engine.top_k_closest(&self.view, s, k)
     }
 }
 
 impl SnapshotQuery for WeightedSnapshot {
-    type Engine = BiDijkstra;
+    type Engine = QueryEngine<BiDijkstra>;
 
-    fn snapshot_query_dist(&self, engine: &mut BiDijkstra, s: Vertex, t: Vertex) -> Dist {
-        weighted_query_dist(&self.view, &self.lab, engine, s, t)
+    fn snapshot_query_dist(&self, engine: &mut Self::Engine, s: Vertex, t: Vertex) -> Dist {
+        engine.query_dist(&self.lab, &self.lab, &self.view, s, t)
     }
 
     fn snapshot_distances_from(
         &self,
-        engine: &mut BiDijkstra,
+        engine: &mut Self::Engine,
         s: Vertex,
         targets: &[Vertex],
     ) -> Vec<Dist> {
-        weighted_distances_from(&self.view, &self.lab, engine, s, targets)
+        engine.distances_from(&self.lab, &self.lab, &self.view, s, targets)
     }
 
-    fn snapshot_top_k(&self, engine: &mut BiDijkstra, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        weighted_top_k(&self.view, engine, s, k)
+    fn snapshot_top_k(
+        &self,
+        engine: &mut Self::Engine,
+        s: Vertex,
+        k: usize,
+    ) -> Vec<(Vertex, Dist)> {
+        engine.top_k_closest(&self.view, s, k)
     }
 }
 

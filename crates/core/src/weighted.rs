@@ -44,10 +44,7 @@ use batchhl_graph::weighted::{
     BiDijkstra, Weight, WeightedAdjacencyView, WeightedGraph, WeightedUpdate,
 };
 use batchhl_graph::WeightedCsrDelta;
-use batchhl_hcl::{
-    sweep_min_targets, LabelError, LabelStore, Labelling, LandmarkSelection, PatchedLabels,
-    SourcePlan, Versioned,
-};
+use batchhl_hcl::{LabelError, LabelStore, Labelling, LandmarkSelection, QueryEngine, Versioned};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -268,7 +265,7 @@ pub struct WeightedBatchIndex {
     threads: usize,
     compaction: CompactionPolicy,
     ws: DijkstraWorkspace,
-    engine: BiDijkstra,
+    engine: QueryEngine<BiDijkstra>,
 }
 
 impl Clone for WeightedBatchIndex {
@@ -281,7 +278,7 @@ impl Clone for WeightedBatchIndex {
             threads: self.threads,
             compaction: self.compaction,
             ws: DijkstraWorkspace::new(n),
-            engine: BiDijkstra::new(n),
+            engine: QueryEngine::default(),
         }
     }
 }
@@ -316,7 +313,7 @@ impl WeightedBatchIndex {
             threads: 1,
             compaction: CompactionPolicy::default(),
             ws: DijkstraWorkspace::new(n),
-            engine: BiDijkstra::new(n),
+            engine: QueryEngine::default(),
         })
     }
 
@@ -348,7 +345,7 @@ impl WeightedBatchIndex {
             threads: 1,
             compaction: CompactionPolicy::default(),
             ws: DijkstraWorkspace::new(n),
-            engine: BiDijkstra::new(n),
+            engine: QueryEngine::default(),
         })
     }
 
@@ -400,7 +397,7 @@ impl WeightedBatchIndex {
         self.recycler.clear();
         let n = self.work.graph.num_vertices();
         self.ws = DijkstraWorkspace::new(n);
-        self.engine = BiDijkstra::new(n);
+        self.engine = QueryEngine::default();
     }
 
     pub fn num_vertices(&self) -> usize {
@@ -435,11 +432,11 @@ impl WeightedBatchIndex {
     }
 
     pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        weighted_query_dist(&self.work.view, &self.work.lab, &mut self.engine, s, t)
+        self.work.snapshot_query_dist(&mut self.engine, s, t)
     }
 
     /// Batched pair queries (order of results matches `pairs`); pairs
-    /// sharing a source reuse one [`SourcePlan`].
+    /// sharing a source reuse one [`batchhl_hcl::SourcePlan`].
     pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
         crate::reader::query_many_on(&self.work, &mut self.engine, pairs)
     }
@@ -581,209 +578,6 @@ pub(crate) fn effect_endpoints(effects: &[Effect]) -> Vec<Vertex> {
     touched.sort_unstable();
     touched.dedup();
     touched
-}
-
-/// The weighted query path, shared by the owning index and its readers
-/// (generic so readers traverse the published CSR view; mirrors
-/// `directed_query_dist`).
-pub(crate) fn weighted_query_dist<W: WeightedAdjacencyView>(
-    graph: &W,
-    lab: &Labelling,
-    engine: &mut BiDijkstra,
-    s: Vertex,
-    t: Vertex,
-) -> Dist {
-    let n = graph.num_vertices();
-    if (s as usize) >= n || (t as usize) >= n {
-        return INF;
-    }
-    if s == t {
-        return 0;
-    }
-    match (lab.landmark_index(s), lab.landmark_index(t)) {
-        (Some(i), Some(j)) => lab.highway(i, j),
-        (Some(i), None) => lab.landmark_to_vertex(i, t),
-        (None, Some(j)) => lab.landmark_to_vertex(j, s),
-        (None, None) => {
-            let bound = lab.upper_bound(s, t);
-            engine
-                .run(graph, s, t, bound, |v| !lab.is_landmark(v))
-                .unwrap_or(bound)
-        }
-    }
-}
-
-/// The weighted one-to-many path, shared by the owning index and its
-/// readers (mirrors the unweighted `QueryEngine::distances_from`): one
-/// [`SourcePlan`] prices every target's Eq. 3 bound in `O(|R|)`, and
-/// once [`sweep_min_targets`] targets need search refinement a single
-/// bounded Dijkstra sweep of `G[V\R]` from `s` replaces the per-target
-/// bidirectional searches.
-pub(crate) fn weighted_distances_from<W: WeightedAdjacencyView>(
-    graph: &W,
-    lab: &Labelling,
-    engine: &mut BiDijkstra,
-    s: Vertex,
-    targets: &[Vertex],
-) -> Vec<Dist> {
-    let n = graph.num_vertices();
-    let mut out = vec![INF; targets.len()];
-    if (s as usize) >= n {
-        return out;
-    }
-    if let Some(i) = lab.landmark_index(s) {
-        for (slot, &t) in out.iter_mut().zip(targets) {
-            if (t as usize) < n {
-                *slot = lab.landmark_to_vertex(i, t);
-            }
-        }
-        return out;
-    }
-    let plan = SourcePlan::new(lab, lab, s);
-    let mut refine: Vec<usize> = Vec::new();
-    for (k, &t) in targets.iter().enumerate() {
-        if (t as usize) >= n {
-            continue;
-        }
-        if t == s {
-            out[k] = 0;
-            continue;
-        }
-        if let Some(j) = lab.landmark_index(t) {
-            out[k] = lab.landmark_to_vertex(j, s);
-            continue;
-        }
-        out[k] = plan.bound_to(lab, t);
-        refine.push(k);
-    }
-    if refine.len() >= sweep_min_targets(n) {
-        let horizon = refine.iter().map(|&k| out[k]).max().unwrap_or(0);
-        engine.sweep(graph, s, horizon, usize::MAX, |v| !lab.is_landmark(v));
-        for &k in &refine {
-            out[k] = out[k].min(engine.sweep_dist(targets[k]));
-        }
-    } else {
-        for &k in &refine {
-            let bound = out[k];
-            let found = engine.run(graph, s, targets[k], bound, |v| !lab.is_landmark(v));
-            out[k] = found.unwrap_or(bound);
-        }
-    }
-    out
-}
-
-/// As [`weighted_query_dist`] over a patched labelling view — the
-/// per-pair path of a weighted what-if session. `graph` is the
-/// session's private weighted overlay.
-pub(crate) fn weighted_query_dist_patched<W: WeightedAdjacencyView>(
-    graph: &W,
-    pl: &PatchedLabels<'_>,
-    engine: &mut BiDijkstra,
-    s: Vertex,
-    t: Vertex,
-) -> Dist {
-    let n = graph.num_vertices();
-    if (s as usize) >= n || (t as usize) >= n {
-        return INF;
-    }
-    if s == t {
-        return 0;
-    }
-    match (pl.landmark_index(s), pl.landmark_index(t)) {
-        (Some(i), Some(j)) => pl.highway(i, j),
-        (Some(i), None) => pl.landmark_to_vertex(i, t),
-        (None, Some(j)) => pl.landmark_to_vertex(j, s),
-        (None, None) => {
-            let bound = pl.upper_bound(s, t);
-            engine
-                .run(graph, s, t, bound, |v| !pl.is_landmark(v))
-                .unwrap_or(bound)
-        }
-    }
-}
-
-/// As [`weighted_distances_from`] over a patched labelling view, with
-/// the same landmark-source, sweep-vs-search and range handling.
-pub(crate) fn weighted_distances_from_patched<W: WeightedAdjacencyView>(
-    graph: &W,
-    pl: &PatchedLabels<'_>,
-    engine: &mut BiDijkstra,
-    s: Vertex,
-    targets: &[Vertex],
-) -> Vec<Dist> {
-    let n = graph.num_vertices();
-    let mut out = vec![INF; targets.len()];
-    if (s as usize) >= n {
-        return out;
-    }
-    if let Some(i) = pl.landmark_index(s) {
-        for (slot, &t) in out.iter_mut().zip(targets) {
-            if (t as usize) < n {
-                *slot = pl.landmark_to_vertex(i, t);
-            }
-        }
-        return out;
-    }
-    let plan = SourcePlan::new_patched(pl, pl, s);
-    let mut refine: Vec<usize> = Vec::new();
-    for (k, &t) in targets.iter().enumerate() {
-        if (t as usize) >= n {
-            continue;
-        }
-        if t == s {
-            out[k] = 0;
-            continue;
-        }
-        if let Some(j) = pl.landmark_index(t) {
-            out[k] = pl.landmark_to_vertex(j, s);
-            continue;
-        }
-        out[k] = plan.bound_to_patched(pl, t);
-        refine.push(k);
-    }
-    if refine.len() >= sweep_min_targets(n) {
-        let horizon = refine.iter().map(|&k| out[k]).max().unwrap_or(0);
-        engine.sweep(graph, s, horizon, usize::MAX, |v| !pl.is_landmark(v));
-        for &k in &refine {
-            out[k] = out[k].min(engine.sweep_dist(targets[k]));
-        }
-    } else {
-        for &k in &refine {
-            let bound = out[k];
-            let found = engine.run(graph, s, targets[k], bound, |v| !pl.is_landmark(v));
-            out[k] = found.unwrap_or(bound);
-        }
-    }
-    out
-}
-
-/// The `k` vertices closest to `s` on the full weighted graph: a
-/// capped Dijkstra sweep settles vertices in distance order.
-///
-/// The answer is canonicalized to (distance, vertex id) order before
-/// the cut at `k`, matching [`batchhl_hcl::query::bfs_top_k`]: ties at
-/// the boundary distance never depend on heap or adjacency iteration
-/// order, so the same query answers identically across CSR compaction
-/// and relabeling of an identical graph.
-pub(crate) fn weighted_top_k<W: WeightedAdjacencyView>(
-    graph: &W,
-    engine: &mut BiDijkstra,
-    s: Vertex,
-    k: usize,
-) -> Vec<(Vertex, Dist)> {
-    if (s as usize) >= graph.num_vertices() || k == 0 {
-        return Vec::new();
-    }
-    engine.sweep(graph, s, INF, k.saturating_add(1), |_| true);
-    let mut out: Vec<(Vertex, Dist)> = engine
-        .swept()
-        .iter()
-        .filter(|&&v| v != s)
-        .map(|&v| (v, engine.sweep_dist(v)))
-        .collect();
-    out.sort_unstable_by_key(|&(v, d)| (d, v));
-    out.truncate(k);
-    out
 }
 
 /// Apply normalized effects to a graph (and optionally count them) —

@@ -15,31 +15,36 @@
 //!   (`engine::run_landmarks_speculative`) write into detached
 //!   copies of the affected landmark rows instead of the labelling.
 //!
-//! Queries then run the ordinary Section 4 paths over a
-//! [`PatchedLabels`] merge view ("patch row if present, base row
-//! otherwise"). Dropping the session drops the overlay and the patch —
-//! no generation bump, no publication, no writer involvement — so any
+//! Together they form a *hypothesis* ([`Hypothesis`],
+//! [`DirectedHypothesis`], [`WeightedHypothesis`]): a read-only
+//! generation that implements [`SnapshotQuery`] exactly like a
+//! committed snapshot, with a [`PatchedLabels`] merge view ("patch row
+//! if present, base row otherwise") in place of the labelling. Queries
+//! therefore run the one Section 4 path of [`QueryEngine`], and
+//! batched pairs go through the same source-grouped `query_many` as
+//! readers. One generic [`Session`] pairs a hypothesis with its private
+//! engine; [`WhatIf`], [`DirectedWhatIf`] and [`WeightedWhatIf`] name
+//! the three families' sessions.
+//!
+//! Dropping the session drops the overlay and the patch — no
+//! generation bump, no publication, no writer involvement — so any
 //! number of concurrent hypotheticals (distinct failure scenarios,
 //! capacity studies, rollout rehearsals) can share one published
 //! snapshot, each on its own reader thread.
 //!
-//! Entry points: `Reader::with_edits` / `SharedReader::with_edits`
+//! Entry points: `GenReader::with_edits` / `SharedReader::with_edits`
 //! (typed, per family) and the type-erased
 //! [`crate::backend::BackendReader::what_if`].
 
 use crate::backend::{unweighted_batch, BackendFamily, Edit, OracleError};
-use crate::directed::{
-    directed_distances_from_patched, directed_query_dist_patched, DirectedSnapshot,
-};
+use crate::directed::DirectedSnapshot;
 use crate::engine::{self, BfsKernel};
 use crate::index::IndexSnapshot;
-use crate::reader::{GenReader, SharedReader};
+use crate::reader::{query_many_on, GenReader, SharedReader, SnapshotQuery};
 use crate::weighted::{
-    effect_endpoints, normalize_weighted, weighted_distances_from_patched,
-    weighted_query_dist_patched, DijkstraKernel, Effect, WeightedSnapshot,
+    effect_endpoints, normalize_weighted, DijkstraKernel, Effect, WeightedSnapshot,
 };
 use batchhl_common::{Dist, FxHashMap, Vertex, INF};
-use batchhl_graph::bfs::BiBfs;
 use batchhl_graph::weighted::{BiDijkstra, Weight, WeightedUpdate};
 use batchhl_graph::{
     AdjacencyView, Batch, CsrDelta, CsrDiDelta, Reversed, Update, WeightedCsrDelta,
@@ -75,14 +80,114 @@ pub trait WhatIfQuery: Send {
     fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>>;
 }
 
-/// How a snapshot family builds a what-if session over one of its
-/// pinned generations (the hook [`crate::backend::BackendReader`]'s
-/// blanket impl dispatches through).
-pub trait SnapshotWhatIf: crate::reader::SnapshotQuery + Sized {
+/// How a snapshot family builds a hypothesis over one of its pinned
+/// generations: the typed `with_edits` entry points and the hook
+/// [`crate::backend::BackendReader`]'s blanket impl dispatches
+/// through.
+pub trait SnapshotWhatIf: SnapshotQuery + Sized {
+    /// The family's typed edit batch.
+    type Edits: ?Sized;
+
+    /// The hypothetical generation the family's sessions query.
+    type Hypothesis: SnapshotQuery + Send;
+
+    /// Build the hypothesis of `edits` over the pinned generation.
+    fn hypothesize(pinned: Arc<Versioned<Self>>, edits: &Self::Edits) -> Self::Hypothesis;
+
+    /// A type-erased session over `edits` in the facade's [`Edit`]
+    /// vocabulary.
     fn what_if_session(
         pinned: Arc<Versioned<Self>>,
         edits: &[Edit],
     ) -> Result<Box<dyn WhatIfQuery>, OracleError>;
+}
+
+/// A speculative session: a hypothesis plus the session's private
+/// query engine. Every query is a call into the shared query path.
+#[derive(Debug)]
+pub struct Session<H: SnapshotQuery> {
+    version: u64,
+    hyp: H,
+    engine: H::Engine,
+}
+
+/// A speculative session over an undirected generation.
+pub type WhatIf = Session<Hypothesis>;
+
+/// A speculative session over a directed generation.
+pub type DirectedWhatIf = Session<DirectedHypothesis>;
+
+/// A speculative session over a weighted generation.
+pub type WeightedWhatIf = Session<WeightedHypothesis>;
+
+impl<H: SnapshotQuery> Session<H> {
+    fn over<S: SnapshotWhatIf<Hypothesis = H>>(
+        pinned: Arc<Versioned<S>>,
+        edits: &S::Edits,
+    ) -> Self {
+        Session {
+            version: pinned.version(),
+            hyp: S::hypothesize(pinned, edits),
+            engine: H::Engine::default(),
+        }
+    }
+
+    /// The version of the pinned generation the hypothetical sits on.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Exact distance under the hypothetical; `None` when disconnected.
+    pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
+        let d = self.query_dist(s, t);
+        (d != INF).then_some(d)
+    }
+
+    /// As [`Session::query`], returning `INF` for disconnected or
+    /// out-of-range pairs.
+    pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
+        self.hyp.snapshot_query_dist(&mut self.engine, s, t)
+    }
+
+    /// Batched pair queries, grouped by source like a reader's.
+    pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
+        query_many_on(&self.hyp, &mut self.engine, pairs)
+    }
+
+    /// One-source-to-many-targets under the hypothetical; `None` marks
+    /// disconnected or out-of-range endpoints.
+    pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
+        self.hyp
+            .snapshot_distances_from(&mut self.engine, s, targets)
+            .into_iter()
+            .map(|d| (d != INF).then_some(d))
+            .collect()
+    }
+}
+
+impl<H: SnapshotQuery + Send> WhatIfQuery for Session<H> {
+    fn version(&self) -> u64 {
+        Session::version(self)
+    }
+
+    fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
+        Session::query_dist(self, s, t)
+    }
+
+    fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
+        Session::query_many(self, pairs)
+    }
+
+    fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
+        Session::distances_from(self, s, targets)
+    }
+}
+
+impl WhatIf {
+    /// Number of landmark rows the hypothetical batch touched.
+    pub fn patched_rows(&self) -> usize {
+        self.hyp.patch.num_rows()
+    }
 }
 
 /// The post-batch vertex count: updates may name vertices past the
@@ -127,17 +232,42 @@ fn apply_undirected_edits(view: &mut CsrDelta, norm: &Batch) {
     }
 }
 
-/// A speculative session over an undirected generation.
+/// The hypothetical generation of an undirected session.
 #[derive(Debug)]
-pub struct WhatIf {
+pub struct Hypothesis {
     pinned: Arc<Versioned<IndexSnapshot>>,
     view: CsrDelta,
     patch: LabelPatch,
-    engine: QueryEngine,
 }
 
-impl WhatIf {
-    pub(crate) fn build(pinned: Arc<Versioned<IndexSnapshot>>, batch: &Batch) -> Self {
+impl SnapshotQuery for Hypothesis {
+    type Engine = QueryEngine;
+
+    fn snapshot_query_dist(&self, engine: &mut QueryEngine, s: Vertex, t: Vertex) -> Dist {
+        let lab = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
+        engine.query_dist(&lab, &lab, &self.view, s, t)
+    }
+
+    fn snapshot_distances_from(
+        &self,
+        engine: &mut QueryEngine,
+        s: Vertex,
+        targets: &[Vertex],
+    ) -> Vec<Dist> {
+        let lab = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
+        engine.distances_from(&lab, &lab, &self.view, s, targets)
+    }
+
+    fn snapshot_top_k(&self, engine: &mut QueryEngine, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
+        engine.top_k_closest(&self.view, s, k)
+    }
+}
+
+impl SnapshotWhatIf for IndexSnapshot {
+    type Edits = Batch;
+    type Hypothesis = Hypothesis;
+
+    fn hypothesize(pinned: Arc<Versioned<Self>>, batch: &Batch) -> Hypothesis {
         let (view, patch) = {
             let snap = pinned.value();
             let norm = batch.normalize(&snap.graph);
@@ -166,67 +296,19 @@ impl WhatIf {
                 (view, patch)
             }
         };
-        let engine = QueryEngine::new(view.num_vertices());
-        WhatIf {
+        Hypothesis {
             pinned,
             view,
             patch,
-            engine,
         }
     }
 
-    /// Number of landmark rows the hypothetical batch touched.
-    pub fn patched_rows(&self) -> usize {
-        self.patch.num_rows()
-    }
-
-    pub fn version(&self) -> u64 {
-        self.pinned.version()
-    }
-
-    pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        let d = self.query_dist(s, t);
-        (d != INF).then_some(d)
-    }
-
-    pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        let n = self.view.num_vertices();
-        if (s as usize) >= n || (t as usize) >= n {
-            return INF;
-        }
-        let pl = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
-        self.engine.query_dist_patched(&pl, &self.view, s, t)
-    }
-
-    pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        pairs.iter().map(|&(s, t)| self.query(s, t)).collect()
-    }
-
-    pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        let pl = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
-        self.engine
-            .distances_from_patched(&pl, &self.view, s, targets)
-            .into_iter()
-            .map(|d| (d != INF).then_some(d))
-            .collect()
-    }
-}
-
-impl WhatIfQuery for WhatIf {
-    fn version(&self) -> u64 {
-        WhatIf::version(self)
-    }
-
-    fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        WhatIf::query_dist(self, s, t)
-    }
-
-    fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        WhatIf::query_many(self, pairs)
-    }
-
-    fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        WhatIf::distances_from(self, s, targets)
+    fn what_if_session(
+        pinned: Arc<Versioned<Self>>,
+        edits: &[Edit],
+    ) -> Result<Box<dyn WhatIfQuery>, OracleError> {
+        let batch = unweighted_batch(edits, BackendFamily::Undirected)?;
+        Ok(Box::new(WhatIf::over(pinned, &batch)))
     }
 }
 
@@ -278,19 +360,55 @@ fn apply_directed_edits(view: &mut CsrDiDelta, norm: &Batch) {
     }
 }
 
-/// A speculative session over a directed generation: one patch per
+/// The hypothetical generation of a directed session: one patch per
 /// labelling, mirroring the committed two-pass repair.
 #[derive(Debug)]
-pub struct DirectedWhatIf {
+pub struct DirectedHypothesis {
     pinned: Arc<Versioned<DirectedSnapshot>>,
     view: CsrDiDelta,
     fwd_patch: LabelPatch,
     bwd_patch: LabelPatch,
-    bibfs: BiBfs,
 }
 
-impl DirectedWhatIf {
-    pub(crate) fn build(pinned: Arc<Versioned<DirectedSnapshot>>, batch: &Batch) -> Self {
+impl DirectedHypothesis {
+    /// The `(backward, forward)` source and target views.
+    fn labels(&self) -> (PatchedLabels<'_>, PatchedLabels<'_>) {
+        let snap = self.pinned.value();
+        (
+            PatchedLabels::new(&snap.bwd, &self.bwd_patch),
+            PatchedLabels::new(&snap.fwd, &self.fwd_patch),
+        )
+    }
+}
+
+impl SnapshotQuery for DirectedHypothesis {
+    type Engine = QueryEngine;
+
+    fn snapshot_query_dist(&self, engine: &mut QueryEngine, s: Vertex, t: Vertex) -> Dist {
+        let (bwd, fwd) = self.labels();
+        engine.query_dist(&bwd, &fwd, &self.view, s, t)
+    }
+
+    fn snapshot_distances_from(
+        &self,
+        engine: &mut QueryEngine,
+        s: Vertex,
+        targets: &[Vertex],
+    ) -> Vec<Dist> {
+        let (bwd, fwd) = self.labels();
+        engine.distances_from(&bwd, &fwd, &self.view, s, targets)
+    }
+
+    fn snapshot_top_k(&self, engine: &mut QueryEngine, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
+        engine.top_k_closest(&self.view, s, k)
+    }
+}
+
+impl SnapshotWhatIf for DirectedSnapshot {
+    type Edits = Batch;
+    type Hypothesis = DirectedHypothesis;
+
+    fn hypothesize(pinned: Arc<Versioned<Self>>, batch: &Batch) -> DirectedHypothesis {
         let (view, fwd_patch, bwd_patch) = {
             let snap = pinned.value();
             let norm = batch.normalize_directed(&snap.graph);
@@ -333,62 +451,20 @@ impl DirectedWhatIf {
                 (view, fwd_patch, bwd_patch)
             }
         };
-        let bibfs = BiBfs::new(view.num_vertices());
-        DirectedWhatIf {
+        DirectedHypothesis {
             pinned,
             view,
             fwd_patch,
             bwd_patch,
-            bibfs,
         }
     }
 
-    pub fn version(&self) -> u64 {
-        self.pinned.version()
-    }
-
-    pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        let d = self.query_dist(s, t);
-        (d != INF).then_some(d)
-    }
-
-    pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        let snap = self.pinned.value();
-        let fwd = PatchedLabels::new(&snap.fwd, &self.fwd_patch);
-        let bwd = PatchedLabels::new(&snap.bwd, &self.bwd_patch);
-        directed_query_dist_patched(&self.view, &fwd, &bwd, &mut self.bibfs, s, t)
-    }
-
-    pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        pairs.iter().map(|&(s, t)| self.query(s, t)).collect()
-    }
-
-    pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        let snap = self.pinned.value();
-        let fwd = PatchedLabels::new(&snap.fwd, &self.fwd_patch);
-        let bwd = PatchedLabels::new(&snap.bwd, &self.bwd_patch);
-        directed_distances_from_patched(&self.view, &fwd, &bwd, &mut self.bibfs, s, targets)
-            .into_iter()
-            .map(|d| (d != INF).then_some(d))
-            .collect()
-    }
-}
-
-impl WhatIfQuery for DirectedWhatIf {
-    fn version(&self) -> u64 {
-        DirectedWhatIf::version(self)
-    }
-
-    fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        DirectedWhatIf::query_dist(self, s, t)
-    }
-
-    fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        DirectedWhatIf::query_many(self, pairs)
-    }
-
-    fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        DirectedWhatIf::distances_from(self, s, targets)
+    fn what_if_session(
+        pinned: Arc<Versioned<Self>>,
+        edits: &[Edit],
+    ) -> Result<Box<dyn WhatIfQuery>, OracleError> {
+        let batch = unweighted_batch(edits, BackendFamily::Directed)?;
+        Ok(Box::new(DirectedWhatIf::over(pinned, &batch)))
     }
 }
 
@@ -418,20 +494,47 @@ fn apply_weighted_effects(view: &mut WeightedCsrDelta, effects: &[Effect]) {
     }
 }
 
-/// A speculative session over a weighted generation.
+/// The hypothetical generation of a weighted session.
 #[derive(Debug)]
-pub struct WeightedWhatIf {
+pub struct WeightedHypothesis {
     pinned: Arc<Versioned<WeightedSnapshot>>,
     view: WeightedCsrDelta,
     patch: LabelPatch,
-    engine: BiDijkstra,
 }
 
-impl WeightedWhatIf {
-    pub(crate) fn build(
-        pinned: Arc<Versioned<WeightedSnapshot>>,
-        updates: &[WeightedUpdate],
-    ) -> Self {
+impl SnapshotQuery for WeightedHypothesis {
+    type Engine = QueryEngine<BiDijkstra>;
+
+    fn snapshot_query_dist(&self, engine: &mut Self::Engine, s: Vertex, t: Vertex) -> Dist {
+        let lab = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
+        engine.query_dist(&lab, &lab, &self.view, s, t)
+    }
+
+    fn snapshot_distances_from(
+        &self,
+        engine: &mut Self::Engine,
+        s: Vertex,
+        targets: &[Vertex],
+    ) -> Vec<Dist> {
+        let lab = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
+        engine.distances_from(&lab, &lab, &self.view, s, targets)
+    }
+
+    fn snapshot_top_k(
+        &self,
+        engine: &mut Self::Engine,
+        s: Vertex,
+        k: usize,
+    ) -> Vec<(Vertex, Dist)> {
+        engine.top_k_closest(&self.view, s, k)
+    }
+}
+
+impl SnapshotWhatIf for WeightedSnapshot {
+    type Edits = [WeightedUpdate];
+    type Hypothesis = WeightedHypothesis;
+
+    fn hypothesize(pinned: Arc<Versioned<Self>>, updates: &[WeightedUpdate]) -> WeightedHypothesis {
         let (view, patch) = {
             let snap = pinned.value();
             let effects = normalize_weighted(&snap.graph, updates);
@@ -450,81 +553,13 @@ impl WeightedWhatIf {
                 (view, patch)
             }
         };
-        let engine = BiDijkstra::new(view.num_vertices());
-        WeightedWhatIf {
+        WeightedHypothesis {
             pinned,
             view,
             patch,
-            engine,
         }
     }
 
-    pub fn version(&self) -> u64 {
-        self.pinned.version()
-    }
-
-    pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        let d = self.query_dist(s, t);
-        (d != INF).then_some(d)
-    }
-
-    pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        let pl = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
-        weighted_query_dist_patched(&self.view, &pl, &mut self.engine, s, t)
-    }
-
-    pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        pairs.iter().map(|&(s, t)| self.query(s, t)).collect()
-    }
-
-    pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        let pl = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
-        weighted_distances_from_patched(&self.view, &pl, &mut self.engine, s, targets)
-            .into_iter()
-            .map(|d| (d != INF).then_some(d))
-            .collect()
-    }
-}
-
-impl WhatIfQuery for WeightedWhatIf {
-    fn version(&self) -> u64 {
-        WeightedWhatIf::version(self)
-    }
-
-    fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        WeightedWhatIf::query_dist(self, s, t)
-    }
-
-    fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        WeightedWhatIf::query_many(self, pairs)
-    }
-
-    fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        WeightedWhatIf::distances_from(self, s, targets)
-    }
-}
-
-impl SnapshotWhatIf for IndexSnapshot {
-    fn what_if_session(
-        pinned: Arc<Versioned<Self>>,
-        edits: &[Edit],
-    ) -> Result<Box<dyn WhatIfQuery>, OracleError> {
-        let batch = unweighted_batch(edits, BackendFamily::Undirected)?;
-        Ok(Box::new(WhatIf::build(pinned, &batch)))
-    }
-}
-
-impl SnapshotWhatIf for DirectedSnapshot {
-    fn what_if_session(
-        pinned: Arc<Versioned<Self>>,
-        edits: &[Edit],
-    ) -> Result<Box<dyn WhatIfQuery>, OracleError> {
-        let batch = unweighted_batch(edits, BackendFamily::Directed)?;
-        Ok(Box::new(DirectedWhatIf::build(pinned, &batch)))
-    }
-}
-
-impl SnapshotWhatIf for WeightedSnapshot {
     fn what_if_session(
         pinned: Arc<Versioned<Self>>,
         edits: &[Edit],
@@ -538,56 +573,24 @@ impl SnapshotWhatIf for WeightedSnapshot {
                 Edit::SetWeight(a, b, w) => WeightedUpdate::SetWeight(a, b, w),
             })
             .collect();
-        Ok(Box::new(WeightedWhatIf::build(pinned, &updates)))
+        Ok(Box::new(WeightedWhatIf::over(pinned, &updates)))
     }
 }
 
-impl GenReader<IndexSnapshot> {
+impl<S: SnapshotWhatIf> GenReader<S> {
     /// A speculative session over the freshest published generation:
-    /// answers queries as if `batch` had been committed, without
+    /// answers queries as if `edits` had been committed, without
     /// touching the index (see [`crate::whatif`]).
-    pub fn with_edits(&mut self, batch: &Batch) -> WhatIf {
-        WhatIf::build(self.pin(), batch)
+    pub fn with_edits(&mut self, edits: &S::Edits) -> Session<S::Hypothesis> {
+        Session::over(self.pin(), edits)
     }
 }
 
-impl GenReader<DirectedSnapshot> {
+impl<S: SnapshotWhatIf> SharedReader<S> {
     /// A speculative session over the freshest published generation
     /// (see [`crate::whatif`]).
-    pub fn with_edits(&mut self, batch: &Batch) -> DirectedWhatIf {
-        DirectedWhatIf::build(self.pin(), batch)
-    }
-}
-
-impl GenReader<WeightedSnapshot> {
-    /// A speculative session over the freshest published generation
-    /// (see [`crate::whatif`]).
-    pub fn with_edits(&mut self, updates: &[WeightedUpdate]) -> WeightedWhatIf {
-        WeightedWhatIf::build(self.pin(), updates)
-    }
-}
-
-impl SharedReader<IndexSnapshot> {
-    /// A speculative session over the freshest published generation
-    /// (see [`crate::whatif`]).
-    pub fn with_edits(&self, batch: &Batch) -> WhatIf {
-        WhatIf::build(self.pin(), batch)
-    }
-}
-
-impl SharedReader<DirectedSnapshot> {
-    /// A speculative session over the freshest published generation
-    /// (see [`crate::whatif`]).
-    pub fn with_edits(&self, batch: &Batch) -> DirectedWhatIf {
-        DirectedWhatIf::build(self.pin(), batch)
-    }
-}
-
-impl SharedReader<WeightedSnapshot> {
-    /// A speculative session over the freshest published generation
-    /// (see [`crate::whatif`]).
-    pub fn with_edits(&self, updates: &[WeightedUpdate]) -> WeightedWhatIf {
-        WeightedWhatIf::build(self.pin(), updates)
+    pub fn with_edits(&self, edits: &S::Edits) -> Session<S::Hypothesis> {
+        Session::over(self.pin(), edits)
     }
 }
 
@@ -633,10 +636,17 @@ mod tests {
             }
         }
         let targets: Vec<Vertex> = (0..72).collect();
+        // Repeated targets cross the sweep threshold (the sweep branch).
+        let many: Vec<Vertex> = (0..72).cycle().take(3 * 72).collect();
+        assert!(many.len() >= batchhl_hcl::sweep_min_targets(72));
         for s in [0u32, 5, 64, 71] {
             assert_eq!(
                 session.distances_from(s, &targets),
                 twin.distances_from(s, &targets)
+            );
+            assert_eq!(
+                session.distances_from(s, &many),
+                twin.distances_from(s, &many)
             );
         }
         // The base reader is unaffected — same version, pre-batch answers.

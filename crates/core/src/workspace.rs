@@ -6,7 +6,7 @@
 //! (BHLₚ) give each thread its own workspace.
 
 use batchhl_common::{DialQueue, EpochCache, LandmarkLength, LexDialQueue, SparseBitSet, Vertex};
-use batchhl_hcl::Labelling;
+use batchhl_hcl::{LabelView, Labelling};
 
 /// Scratch state shared by Algorithms 2, 3 and 4.
 #[derive(Debug, Default)]

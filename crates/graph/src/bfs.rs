@@ -112,6 +112,79 @@ impl BfsWorkspace {
     }
 }
 
+/// A reusable distance-bounded search workspace over graphs of type
+/// `G`: the refinement half of Section 4's query. [`BiBfs`] implements
+/// it for unweighted views and [`crate::weighted::BiDijkstra`] for
+/// weighted ones, so one query path (the point query, the one-to-many
+/// sweep and top-k) serves every index family. Each method has the
+/// contract of the [`BiBfs`] inherent method of the same name.
+pub trait BoundedSearch<G> {
+    /// Vertex count of `g` (`0..n` are valid ids).
+    fn num_vertices(g: &G) -> usize;
+
+    /// See [`BiBfs::run`].
+    fn run<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &G,
+        s: Vertex,
+        t: Vertex,
+        bound: Dist,
+        allowed: F,
+    ) -> Option<Dist>;
+
+    /// See [`BiBfs::sweep`].
+    fn sweep<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &G,
+        s: Vertex,
+        bound: Dist,
+        cap: usize,
+        allowed: F,
+    );
+
+    /// See [`BiBfs::swept`].
+    fn swept(&self) -> &[Vertex];
+
+    /// See [`BiBfs::sweep_dist`].
+    fn sweep_dist(&self, v: Vertex) -> Dist;
+}
+
+impl<A: AdjacencyView> BoundedSearch<A> for BiBfs {
+    fn num_vertices(g: &A) -> usize {
+        g.num_vertices()
+    }
+
+    fn run<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &A,
+        s: Vertex,
+        t: Vertex,
+        bound: Dist,
+        allowed: F,
+    ) -> Option<Dist> {
+        BiBfs::run(self, g, s, t, bound, allowed)
+    }
+
+    fn sweep<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &A,
+        s: Vertex,
+        bound: Dist,
+        cap: usize,
+        allowed: F,
+    ) {
+        BiBfs::sweep(self, g, s, bound, cap, allowed)
+    }
+
+    fn swept(&self) -> &[Vertex] {
+        BiBfs::swept(self)
+    }
+
+    fn sweep_dist(&self, v: Vertex) -> Dist {
+        BiBfs::sweep_dist(self, v)
+    }
+}
+
 /// Reusable distance-bounded bidirectional BFS (Section 4).
 ///
 /// Computes `d(s, t)` restricted to vertices that pass a filter (the

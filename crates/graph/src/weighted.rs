@@ -7,6 +7,7 @@
 //! monotone settle-order arguments that the batch machinery's proofs
 //! rely on (distances live in `N⁺`, Definition 3.2).
 
+use crate::bfs::BoundedSearch;
 use crate::update::Update;
 use batchhl_common::{Dist, Vertex, INF};
 use std::cmp::Reverse;
@@ -283,6 +284,42 @@ pub fn dijkstra<W: WeightedAdjacencyView>(g: &W, src: Vertex) -> Vec<Dist> {
         }
     }
     dist
+}
+
+impl<W: WeightedAdjacencyView> BoundedSearch<W> for BiDijkstra {
+    fn num_vertices(g: &W) -> usize {
+        g.num_vertices()
+    }
+
+    fn run<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &W,
+        s: Vertex,
+        t: Vertex,
+        bound: Dist,
+        allowed: F,
+    ) -> Option<Dist> {
+        BiDijkstra::run(self, g, s, t, bound, allowed)
+    }
+
+    fn sweep<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &W,
+        s: Vertex,
+        bound: Dist,
+        cap: usize,
+        allowed: F,
+    ) {
+        BiDijkstra::sweep(self, g, s, bound, cap, allowed)
+    }
+
+    fn swept(&self) -> &[Vertex] {
+        BiDijkstra::swept(self)
+    }
+
+    fn sweep_dist(&self, v: Vertex) -> Dist {
+        BiDijkstra::sweep_dist(self, v)
+    }
 }
 
 /// Distance-bounded bidirectional Dijkstra on the subgraph of vertices

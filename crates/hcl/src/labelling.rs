@@ -25,7 +25,8 @@
 //! scans and the SIMD kernels of [`crate::kernel`] operate on.
 
 use crate::packed::PackedIndex;
-use batchhl_common::{Dist, LandmarkLength, Vertex, INF};
+use crate::query::LabelView;
+use batchhl_common::{Dist, Vertex, INF};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -336,53 +337,10 @@ impl Labelling {
     }
 
     /// Exact `d_G(r_i, v)` recovered from the labelling (Eq. 2):
-    /// the label if present, otherwise the best label + highway detour.
+    /// the label if present, otherwise the best label + highway detour
+    /// (see [`LabelView::landmark_dist`]).
     pub fn landmark_to_vertex(&self, i: usize, v: Vertex) -> Dist {
         self.landmark_dist(i, v).dist()
-    }
-
-    /// The landmark-distance oracle `d^L_G(r_i, v)` (Definition 5.13):
-    /// exact distance plus the flag recording whether *some* shortest
-    /// `r_i`–`v` path passes through another landmark. Derived purely
-    /// from the labelling:
-    ///
-    /// * `v = r_i` → `(0, false)`;
-    /// * `v` another landmark → `(δ_H(r_i, v), true)` (the path
-    ///   terminates in a landmark);
-    /// * `v` holds an `r_i`-label → `(label, false)` (minimality:
-    ///   the label exists iff no shortest path is landmark-covered);
-    /// * otherwise → `(min_k label_k(v) + δ_H(r_i, r_k), true)`,
-    ///   infinite when unreachable.
-    pub fn landmark_dist(&self, i: usize, v: Vertex) -> LandmarkLength {
-        if let Some(j) = self.landmark_index(v) {
-            return if i == j {
-                LandmarkLength::ZERO
-            } else {
-                LandmarkLength::new(self.highway(i, j), true)
-            };
-        }
-        let lab = self.labels[i][v as usize];
-        if lab != NO_LABEL {
-            return LandmarkLength::new(lab, false);
-        }
-        let mut best = INF as u64;
-        let r = self.landmarks.len();
-        for k in 0..r {
-            let lk = self.labels[k][v as usize];
-            if lk == NO_LABEL {
-                continue;
-            }
-            let h = self.highway[i * r + k];
-            if h == INF {
-                continue;
-            }
-            best = best.min(lk as u64 + h as u64);
-        }
-        if best >= INF as u64 {
-            LandmarkLength::INFINITE
-        } else {
-            LandmarkLength::new(best as Dist, true)
-        }
     }
 
     /// The upper bound `d⊤(s, t)` of Eq. 3: the length of the best
@@ -390,7 +348,20 @@ impl Labelling {
     /// Served from the packed query mirror — `O(|L(s)|·|L(t)|)` over
     /// logical entries instead of `O(|R|²)` over dense rows.
     pub fn upper_bound(&self, s: Vertex, t: Vertex) -> Dist {
-        crate::query::upper_bound_pair(self, self, self, s, t)
+        let packed = self.packed();
+        let (srow, trow) = (packed.labels.row(s), packed.labels.row(t));
+        let mut best = u64::from(INF);
+        for a in 0..srow.len() {
+            let (i, ls) = srow.entry(a);
+            for b in 0..trow.len() {
+                let (j, lt) = trow.entry(b);
+                let h = packed.highway.get(i as usize, j as usize);
+                if h != INF {
+                    best = best.min(u64::from(ls) + u64::from(h) + u64::from(lt));
+                }
+            }
+        }
+        best.min(u64::from(INF)) as Dist
     }
 
     /// Reference Eq. 3 evaluation over the dense rows, bypassing the

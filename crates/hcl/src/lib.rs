@@ -29,7 +29,11 @@
 //! * [`build`] — construction by one multi-source flagged BFS per wave
 //!   of up to 64 landmarks (u64 landmark masks per vertex), waves split
 //!   over threads,
-//! * [`query`] — the combined labelling + bounded-search query engine,
+//! * [`query`] — the one Section 4 query path (point query,
+//!   one-to-many, top-k), generic over a [`LabelView`] and a bounded
+//!   search and shared by every index family and what-if session,
+//! * [`patch`] — scoped label patches and the merged view what-if
+//!   sessions query through,
 //! * [`store`] — the generation-based shared label store: immutable
 //!   published snapshots, lock-free reader handles, atomic-swap
 //!   publication (the substrate of concurrent query serving),
@@ -51,7 +55,7 @@ pub use kernel::{active_kernel, Kernel};
 pub use labelling::{LabelError, Labelling, NO_LABEL};
 pub use landmarks::LandmarkSelection;
 pub use packed::{PackedHighway, PackedIndex, PackedLabels};
-pub use patch::{upper_bound_pair_patched, LabelPatch, PatchRow, PatchedLabels};
-pub use query::{sweep_min_targets, upper_bound_pair, QueryEngine, SourcePlan, SWEEP_MIN_TARGETS};
+pub use patch::{LabelPatch, PatchRow, PatchedLabels};
+pub use query::{sweep_min_targets, LabelView, QueryEngine, SourcePlan, SWEEP_MIN_TARGETS};
 pub use serde_io::SnapshotError;
 pub use store::{LabelStore, ReaderHandle, Versioned};

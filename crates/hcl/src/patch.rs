@@ -15,11 +15,18 @@
 //! exists and the base otherwise — consistent for every `(i, j)` as
 //! long as *all* landmarks were run (the speculative driver always
 //! does).
+//!
+//! [`PatchedLabels`] implements [`LabelView`], so a session answers
+//! through the same Section 4 code as a committed generation
+//! ([`crate::query::QueryEngine`]). While the patch is empty the view
+//! names the base labelling as its packed base and the Eq. 3 bound
+//! keeps the SIMD kernels; once any row is patched, the bound reads the
+//! merged rows exactly.
 
-use batchhl_common::{Dist, FxHashMap, LandmarkLength, Vertex, INF};
+use batchhl_common::{Dist, FxHashMap, Vertex};
 
 use crate::labelling::{Labelling, NO_LABEL};
-use crate::query::upper_bound_pair;
+use crate::query::LabelView;
 
 /// One landmark's repaired rows: the full label row over the
 /// (possibly grown) vertex range, plus that landmark's highway row.
@@ -83,7 +90,7 @@ impl LabelPatch {
 /// A read view merging a frozen base [`Labelling`] with a
 /// [`LabelPatch`]: patch row if present, base row otherwise. `Copy` by
 /// design — query code passes it around like the `&Labelling` it
-/// stands in for.
+/// stands in for, through the [`LabelView`] trait.
 #[derive(Debug, Clone, Copy)]
 pub struct PatchedLabels<'a> {
     base: &'a Labelling,
@@ -93,12 +100,6 @@ pub struct PatchedLabels<'a> {
 impl<'a> PatchedLabels<'a> {
     pub fn new(base: &'a Labelling, patch: &'a LabelPatch) -> Self {
         PatchedLabels { base, patch }
-    }
-
-    /// The frozen base labelling.
-    #[inline]
-    pub fn base(&self) -> &'a Labelling {
-        self.base
     }
 
     /// Whether the view degenerates to the plain base labelling.
@@ -111,17 +112,18 @@ impl<'a> PatchedLabels<'a> {
     pub fn num_vertices(&self) -> usize {
         self.base.num_vertices().max(self.patch.num_vertices())
     }
+}
 
+impl LabelView for PatchedLabels<'_> {
     #[inline]
-    pub fn num_landmarks(&self) -> usize {
+    fn num_landmarks(&self) -> usize {
         self.base.num_landmarks()
     }
 
-    /// Landmark index of `v`, if it is one. Landmarks are fixed for
-    /// the life of a session; vertices the hypothetical batch grew
-    /// past the base range are never landmarks.
+    /// Landmarks are fixed for the life of a session; vertices the
+    /// hypothetical batch grew past the base range are never landmarks.
     #[inline]
-    pub fn landmark_index(&self, v: Vertex) -> Option<usize> {
+    fn landmark_index(&self, v: Vertex) -> Option<usize> {
         if (v as usize) < self.base.num_vertices() {
             self.base.landmark_index(v)
         } else {
@@ -130,14 +132,12 @@ impl<'a> PatchedLabels<'a> {
     }
 
     #[inline]
-    pub fn is_landmark(&self, v: Vertex) -> bool {
+    fn is_landmark(&self, v: Vertex) -> bool {
         self.landmark_index(v).is_some()
     }
 
-    /// The `r_i`-label of `v` under the hypothetical ([`NO_LABEL`] if
-    /// absent).
     #[inline]
-    pub fn label(&self, i: usize, v: Vertex) -> Dist {
+    fn label(&self, i: usize, v: Vertex) -> Dist {
         if let Some(row) = self.patch.row(i) {
             row.label.get(v as usize).copied().unwrap_or(NO_LABEL)
         } else if (v as usize) < self.base.num_vertices() {
@@ -147,9 +147,8 @@ impl<'a> PatchedLabels<'a> {
         }
     }
 
-    /// Highway distance `δ_H(r_i, r_j)` under the hypothetical.
     #[inline]
-    pub fn highway(&self, i: usize, j: usize) -> Dist {
+    fn highway(&self, i: usize, j: usize) -> Dist {
         if let Some(row) = self.patch.row(i) {
             row.highway[j]
         } else {
@@ -157,96 +156,19 @@ impl<'a> PatchedLabels<'a> {
         }
     }
 
-    /// Exact `d_G(r_i, v)` under the hypothetical (Eq. 2).
-    pub fn landmark_to_vertex(&self, i: usize, v: Vertex) -> Dist {
-        self.landmark_dist(i, v).dist()
+    /// The base labelling while the patch is empty and `v` lies in the
+    /// base range: an empty patch keeps the packed kernels, any patched
+    /// row sends the bound to the exact merged-row scan.
+    #[inline]
+    fn packed_base(&self, v: Vertex) -> Option<&Labelling> {
+        (self.patch.is_empty() && (v as usize) < self.base.num_vertices()).then_some(self.base)
     }
-
-    /// The landmark-distance oracle `d^L_G(r_i, v)` under the
-    /// hypothetical — mirrors [`Labelling::landmark_dist`] over the
-    /// merged rows.
-    pub fn landmark_dist(&self, i: usize, v: Vertex) -> LandmarkLength {
-        if let Some(j) = self.landmark_index(v) {
-            return if i == j {
-                LandmarkLength::ZERO
-            } else {
-                LandmarkLength::new(self.highway(i, j), true)
-            };
-        }
-        let lab = self.label(i, v);
-        if lab != NO_LABEL {
-            return LandmarkLength::new(lab, false);
-        }
-        let r = self.num_landmarks();
-        let mut best = u64::from(INF);
-        for k in 0..r {
-            let lk = self.label(k, v);
-            if lk == NO_LABEL {
-                continue;
-            }
-            let h = self.highway(i, k);
-            if h == INF {
-                continue;
-            }
-            best = best.min(lk as u64 + h as u64);
-        }
-        if best >= u64::from(INF) {
-            LandmarkLength::INFINITE
-        } else {
-            LandmarkLength::new(best as Dist, true)
-        }
-    }
-
-    /// The Eq. 3 upper bound `d⊤(s, t)` under the hypothetical.
-    pub fn upper_bound(&self, s: Vertex, t: Vertex) -> Dist {
-        upper_bound_pair_patched(self, self, self, s, t)
-    }
-}
-
-/// Eq. 3 across possibly distinct source / highway / target views
-/// (directed indexes bound `s → t` with `source` = the backward
-/// labelling and `highway`/`target` = the forward one). Escapes to the
-/// packed [`upper_bound_pair`] kernels when no patch is in play.
-pub fn upper_bound_pair_patched(
-    source: &PatchedLabels<'_>,
-    highway: &PatchedLabels<'_>,
-    target: &PatchedLabels<'_>,
-    s: Vertex,
-    t: Vertex,
-) -> Dist {
-    if source.patch_is_empty()
-        && highway.patch_is_empty()
-        && target.patch_is_empty()
-        && (s as usize) < source.base.num_vertices()
-        && (t as usize) < target.base.num_vertices()
-    {
-        return upper_bound_pair(source.base, highway.base, target.base, s, t);
-    }
-    let r = source.num_landmarks();
-    let mut best = u64::from(INF);
-    for i in 0..r {
-        let ls = source.label(i, s);
-        if ls == NO_LABEL {
-            continue;
-        }
-        for j in 0..r {
-            let h = highway.highway(i, j);
-            if h == INF {
-                continue;
-            }
-            let lt = target.label(j, t);
-            if lt == NO_LABEL {
-                continue;
-            }
-            best = best.min(ls as u64 + h as u64 + lt as u64);
-        }
-    }
-    best.min(u64::from(INF)) as Dist
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::SourcePlan;
 
     fn labelled_path(n: usize) -> Labelling {
         use batchhl_graph::generators::path;
@@ -264,7 +186,7 @@ mod tests {
             for v in 0..8u32 {
                 assert_eq!(pl.label(i, v), base.label(i, v));
                 assert_eq!(
-                    pl.landmark_to_vertex(i, v),
+                    pl.landmark_dist(i, v).dist(),
                     base.landmark_to_vertex(i, v),
                     "landmark {i} vertex {v}"
                 );
@@ -275,7 +197,8 @@ mod tests {
         }
         for s in 0..8u32 {
             for t in 0..8u32 {
-                assert_eq!(pl.upper_bound(s, t), base.upper_bound(s, t), "({s},{t})");
+                let bound = SourcePlan::new(&pl, &pl, s).bound_to(&pl, t);
+                assert_eq!(bound, base.upper_bound(s, t), "({s},{t})");
             }
         }
     }

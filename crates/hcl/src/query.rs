@@ -1,10 +1,41 @@
-//! Query processing (Section 4).
+//! Query processing (Section 4), written once for every index family
+//! and every what-if session.
 //!
 //! `Q(s, t) = min(d_{G[V\R]}(s, t), d⊤_{st})`: compute the highway upper
-//! bound from the labelling (Eq. 3), then run a distance-bounded
-//! bidirectional BFS on the landmark-sparsified graph. Landmark
-//! endpoints are answered from the labelling alone via the highway cover
-//! property (Eq. 2) — for them the bound is already exact.
+//! bound from the labelling (Eq. 3), then run a distance-bounded search
+//! on the landmark-sparsified graph. Landmark endpoints are answered
+//! from the labelling alone via the highway cover property (Eq. 2) —
+//! for them the bound is already exact.
+//!
+//! # One path per query shape
+//!
+//! [`QueryEngine`] holds the only implementation of each query shape:
+//! [`QueryEngine::query_dist`] (one pair), [`QueryEngine::distances_from`]
+//! (one source, many targets) and [`QueryEngine::top_k_closest`]. The
+//! committed indexes, their readers and the what-if sessions of all
+//! three families call into it. It is generic over two traits:
+//!
+//! * [`LabelView`] — read access to a labelling. [`Labelling`]
+//!   implements it for committed generations and
+//!   [`crate::patch::PatchedLabels`] for what-if sessions. A view whose
+//!   rows are a sealed labelling's rows names that labelling through
+//!   [`LabelView::packed_base`], and the bound runs on the SIMD kernels
+//!   over its packed mirror. Any other view (a non-empty patch) is read
+//!   row by row in the exact domain.
+//! * [`BoundedSearch`] (from `batchhl-graph`) — the bounded refinement:
+//!   [`BiBfs`] on unweighted graphs, `BiDijkstra` on weighted ones.
+//!
+//! # Source and target views
+//!
+//! Eq. 3 reads three things: the labels of `s`, the highway and the
+//! labels of `t`. An undirected labelling holds all three, and callers
+//! pass the same view twice. A directed index keeps two labellings: the
+//! backward one holds `d(s → r_i)`, the forward one holds `d(r_j → t)`
+//! and the highway `d(r_i → r_j)`. Directed callers pass `(bwd, fwd)`:
+//! the *source view* prices `s`, the *target view* prices `t` and
+//! supplies the highway. Landmark endpoints follow the same split: a
+//! landmark source reads the target view (`d(r_i → t)`), a landmark
+//! target reads the source view (`d(s → r_j)`).
 //!
 //! # Batched queries: pinning the source's label row
 //!
@@ -15,20 +46,19 @@
 //! A [`SourcePlan`] materializes `via_s` once — one `O(|L(s)|·|R|)`
 //! scan of the source's label row and the highway matrix — and then
 //! every target costs a single `O(|R|)` pass over its own labels
-//! instead of re-reading the source row and the highway per pair.
+//! instead of re-reading the source row and the highway per pair. The
+//! point query runs the same plan for its one target.
 //!
 //! [`QueryEngine::distances_from`] builds on that: for large target
 //! sets it additionally replaces the per-target bidirectional searches
-//! with **one** bounded BFS sweep from `s` on `G[V\R]`
-//! ([`BiBfs::sweep`]), amortizing the source side of Section 4's search
-//! across the whole call.
+//! with **one** bounded sweep from `s` on `G[V\R]`
+//! ([`BoundedSearch::sweep`]), amortizing the source side of Section
+//! 4's search across the whole call.
 
 use crate::kernel::{self, clamp_to_inf, CLAMP_INF};
 use crate::labelling::{Labelling, NO_LABEL};
-use crate::patch::{upper_bound_pair_patched, PatchedLabels};
-use batchhl_common::{Dist, Vertex, INF};
-use batchhl_graph::bfs::BiBfs;
-use batchhl_graph::AdjacencyView;
+use batchhl_common::{Dist, LandmarkLength, Vertex, INF};
+use batchhl_graph::bfs::{BiBfs, BoundedSearch};
 
 /// Calibration anchor for [`sweep_min_targets`]: the measured sweep /
 /// per-search cost crossover on the standard bench graph (~2 000
@@ -57,22 +87,121 @@ pub fn sweep_min_targets(n: usize) -> usize {
     (scaled.round() as usize).clamp(8, 96)
 }
 
+/// Read access to a highway cover labelling — what the query path
+/// needs from it (see the module docs).
+pub trait LabelView {
+    /// Number of landmarks `|R|`.
+    fn num_landmarks(&self) -> usize;
+
+    /// Landmark index of `v`, if it is one.
+    fn landmark_index(&self, v: Vertex) -> Option<usize>;
+
+    /// Whether `v` is a landmark (the search filter of `G[V\R]`).
+    fn is_landmark(&self, v: Vertex) -> bool;
+
+    /// The `r_i`-label of `v` ([`NO_LABEL`] if absent).
+    fn label(&self, i: usize, v: Vertex) -> Dist;
+
+    /// Highway distance `δ_H(r_i, r_j)`.
+    fn highway(&self, i: usize, j: usize) -> Dist;
+
+    /// The sealed labelling whose packed mirror holds exactly this
+    /// view's label row of `v` and its highway, if there is one. The
+    /// Eq. 3 bound then runs on the SIMD kernels; `None` sends it to
+    /// the exact row-by-row scan.
+    fn packed_base(&self, v: Vertex) -> Option<&Labelling>;
+
+    /// The landmark-distance oracle `d^L_G(r_i, v)` (Definition 5.13):
+    /// exact distance plus the flag recording whether *some* shortest
+    /// `r_i`–`v` path passes through another landmark. Derived purely
+    /// from the labelling:
+    ///
+    /// * `v = r_i` → `(0, false)`;
+    /// * `v` another landmark → `(δ_H(r_i, v), true)` (the path
+    ///   terminates in a landmark);
+    /// * `v` holds an `r_i`-label → `(label, false)` (minimality:
+    ///   the label exists iff no shortest path is landmark-covered);
+    /// * otherwise → `(min_k label_k(v) + δ_H(r_i, r_k), true)`,
+    ///   infinite when unreachable.
+    fn landmark_dist(&self, i: usize, v: Vertex) -> LandmarkLength {
+        if let Some(j) = self.landmark_index(v) {
+            return if i == j {
+                LandmarkLength::ZERO
+            } else {
+                LandmarkLength::new(self.highway(i, j), true)
+            };
+        }
+        let lab = self.label(i, v);
+        if lab != NO_LABEL {
+            return LandmarkLength::new(lab, false);
+        }
+        let mut best = u64::from(INF);
+        for k in 0..self.num_landmarks() {
+            let lk = self.label(k, v);
+            if lk == NO_LABEL {
+                continue;
+            }
+            let h = self.highway(i, k);
+            if h == INF {
+                continue;
+            }
+            best = best.min(u64::from(lk) + u64::from(h));
+        }
+        if best >= u64::from(INF) {
+            LandmarkLength::INFINITE
+        } else {
+            LandmarkLength::new(best as Dist, true)
+        }
+    }
+}
+
+impl LabelView for Labelling {
+    #[inline]
+    fn num_landmarks(&self) -> usize {
+        Labelling::num_landmarks(self)
+    }
+
+    #[inline]
+    fn landmark_index(&self, v: Vertex) -> Option<usize> {
+        Labelling::landmark_index(self, v)
+    }
+
+    #[inline]
+    fn is_landmark(&self, v: Vertex) -> bool {
+        Labelling::is_landmark(self, v)
+    }
+
+    #[inline]
+    fn label(&self, i: usize, v: Vertex) -> Dist {
+        Labelling::label(self, i, v)
+    }
+
+    #[inline]
+    fn highway(&self, i: usize, j: usize) -> Dist {
+        Labelling::highway(self, i, j)
+    }
+
+    #[inline]
+    fn packed_base(&self, _v: Vertex) -> Option<&Labelling> {
+        Some(self)
+    }
+}
+
 /// The reusable source side of Eq. 3: `via[j]` is the cheapest
 /// `s → r_i → r_j` route into each landmark `r_j` (`INF` when none).
 /// Build once per source, then [`SourcePlan::bound_to`] prices any
-/// target in `O(|R|)`.
+/// target in `O(|L(t)|)`.
 ///
-/// For directed graphs pass the *backward* labelling (labels answer
-/// `d(s → r_i)`) as `source_lab` and the *forward* labelling (whose
-/// highway holds `d(r_i → r_j)`) as `highway_lab`; undirected callers
-/// pass the same labelling twice.
-#[derive(Debug, Clone)]
+/// `source_lab` prices `s` and `highway_lab` supplies the highway (see
+/// the module docs on source and target views): directed callers pass
+/// `(bwd, fwd)`, every other caller the same view twice.
+#[derive(Debug, Clone, Default)]
 pub struct SourcePlan {
     source: Vertex,
     /// In the clamped kernel domain when `clamped` (sentinel
     /// [`CLAMP_INF`], every slot `≤ CLAMP_INF`), otherwise in the exact
     /// domain with `INF` marking no route.
-    via: Box<[Dist]>,
+    via: Vec<Dist>,
     clamped: bool,
 }
 
@@ -102,45 +231,51 @@ fn fill_via_clamped(
     true
 }
 
-/// Exact-domain `via` fill over the dense rows (`INF` sentinel, `u64`
-/// accumulation) — the escape path for distances at or above
-/// [`CLAMP_INF`], bit-identical to the pre-packed implementation.
-fn fill_via_exact(source_lab: &Labelling, highway_lab: &Labelling, s: Vertex, via: &mut [Dist]) {
-    for i in 0..source_lab.num_landmarks() {
-        let ls = source_lab.label(i, s);
-        if ls == NO_LABEL {
-            continue;
+impl SourcePlan {
+    pub fn new<S, H>(source_lab: &S, highway_lab: &H, s: Vertex) -> Self
+    where
+        S: LabelView + ?Sized,
+        H: LabelView + ?Sized,
+    {
+        let mut plan = SourcePlan::default();
+        plan.replan(source_lab, highway_lab, s);
+        plan
+    }
+
+    /// Re-plan for source `s`, reusing this plan's buffer. Packed views
+    /// take the clamped SIMD kernels; views outside the clamped domain
+    /// or without a packed base take the exact `u64` scan.
+    fn replan<S, H>(&mut self, source_lab: &S, highway_lab: &H, s: Vertex)
+    where
+        S: LabelView + ?Sized,
+        H: LabelView + ?Sized,
+    {
+        self.source = s;
+        self.via.clear();
+        self.via.resize(highway_lab.num_landmarks(), CLAMP_INF);
+        if let (Some(sl), Some(hl)) = (source_lab.packed_base(s), highway_lab.packed_base(s)) {
+            if fill_via_clamped(sl, hl, s, &mut self.via) {
+                self.clamped = true;
+                return;
+            }
         }
-        for (j, slot) in via.iter_mut().enumerate() {
-            let h = highway_lab.highway(i, j);
-            if h == INF {
+        self.clamped = false;
+        self.via.fill(INF);
+        for i in 0..source_lab.num_landmarks() {
+            let ls = source_lab.label(i, s);
+            if ls == NO_LABEL {
                 continue;
             }
-            let cand = ls as u64 + h as u64;
-            if cand < *slot as u64 {
-                *slot = cand as Dist;
+            for (j, slot) in self.via.iter_mut().enumerate() {
+                let h = highway_lab.highway(i, j);
+                if h == INF {
+                    continue;
+                }
+                let cand = u64::from(ls) + u64::from(h);
+                if cand < u64::from(*slot) {
+                    *slot = cand as Dist;
+                }
             }
-        }
-    }
-}
-
-impl SourcePlan {
-    pub fn new(source_lab: &Labelling, highway_lab: &Labelling, s: Vertex) -> Self {
-        let r = highway_lab.num_landmarks();
-        let mut via = vec![CLAMP_INF; r].into_boxed_slice();
-        if fill_via_clamped(source_lab, highway_lab, s, &mut via) {
-            return SourcePlan {
-                source: s,
-                via,
-                clamped: true,
-            };
-        }
-        via.fill(INF);
-        fill_via_exact(source_lab, highway_lab, s, &mut via);
-        SourcePlan {
-            source: s,
-            via,
-            clamped: false,
         }
     }
 
@@ -152,87 +287,28 @@ impl SourcePlan {
 
     /// The Eq. 3 upper bound `d⊤(s, t)` priced against `t`'s labels in
     /// `target_lab` — equal to `Labelling::upper_bound(s, t)` but
-    /// `O(|L(t)|)` per target instead of `O(|L(s)|·|R|)`. Clamped plans
-    /// use the sparse gather min-plus kernel over `t`'s packed row.
-    pub fn bound_to(&self, target_lab: &Labelling, t: Vertex) -> Dist {
+    /// `O(|L(t)|)` per target instead of `O(|L(s)|·|L(t)|)`. Clamped
+    /// plans use the sparse gather min-plus kernel over `t`'s packed
+    /// row; the rest read `t`'s labels exactly.
+    pub fn bound_to<T: LabelView + ?Sized>(&self, target_lab: &T, t: Vertex) -> Dist {
         if self.clamped {
-            let trow = target_lab.packed().labels.row(t);
-            if trow.clamp_safe {
-                return clamp_to_inf(kernel::gather_min(&self.via, trow.ids, trow.dists));
-            }
-            // Huge (weighted) target distances: exact u64 over the
-            // packed row, clamped via slots mapped back to INF.
-            let mut best = u64::from(INF);
-            for k in 0..trow.len() {
-                let (j, lt) = trow.entry(k);
-                let via = self.via[j as usize];
-                if via >= CLAMP_INF {
-                    continue;
+            if let Some(tl) = target_lab.packed_base(t) {
+                let trow = tl.packed().labels.row(t);
+                if trow.clamp_safe {
+                    return clamp_to_inf(kernel::gather_min(&self.via, trow.ids, trow.dists));
                 }
-                best = best.min(via as u64 + lt as u64);
-            }
-            return best.min(u64::from(INF)) as Dist;
-        }
-        let mut best = u64::from(INF);
-        for (j, &via) in self.via.iter().enumerate() {
-            if via == INF {
-                continue;
-            }
-            let lt = target_lab.label(j, t);
-            if lt == NO_LABEL {
-                continue;
-            }
-            let cand = via as u64 + lt as u64;
-            if cand < best {
-                best = cand;
-            }
-        }
-        best.min(u64::from(INF)) as Dist
-    }
-
-    /// As [`SourcePlan::new`] over patched views (what-if sessions).
-    /// Degenerates to the clamped-kernel path when neither view carries
-    /// a patch; otherwise fills `via` with an exact dense scan over the
-    /// merged rows.
-    pub fn new_patched(source: &PatchedLabels<'_>, highway: &PatchedLabels<'_>, s: Vertex) -> Self {
-        if source.patch_is_empty()
-            && highway.patch_is_empty()
-            && (s as usize) < source.base().num_vertices()
-        {
-            return SourcePlan::new(source.base(), highway.base(), s);
-        }
-        let r = highway.num_landmarks();
-        let mut via = vec![INF; r].into_boxed_slice();
-        for i in 0..source.num_landmarks() {
-            let ls = source.label(i, s);
-            if ls == NO_LABEL {
-                continue;
-            }
-            for (j, slot) in via.iter_mut().enumerate() {
-                let h = highway.highway(i, j);
-                if h == INF {
-                    continue;
+                // Huge (weighted) target distances: exact u64 over the
+                // packed row, clamped via slots mapped back to INF.
+                let mut best = u64::from(INF);
+                for k in 0..trow.len() {
+                    let (j, lt) = trow.entry(k);
+                    let via = self.via[j as usize];
+                    if via < CLAMP_INF {
+                        best = best.min(u64::from(via) + u64::from(lt));
+                    }
                 }
-                let cand = u64::from(ls) + u64::from(h);
-                if cand < u64::from(*slot) {
-                    *slot = cand as Dist;
-                }
+                return best.min(u64::from(INF)) as Dist;
             }
-        }
-        SourcePlan {
-            source: s,
-            via,
-            clamped: false,
-        }
-    }
-
-    /// As [`SourcePlan::bound_to`] against a patched target view.
-    /// Handles both `via` domains: clamped plans (built by
-    /// [`SourcePlan::new`] before the target's patch existed) keep the
-    /// [`CLAMP_INF`] no-route sentinel, exact plans use [`INF`].
-    pub fn bound_to_patched(&self, target: &PatchedLabels<'_>, t: Vertex) -> Dist {
-        if target.patch_is_empty() && (t as usize) < target.base().num_vertices() {
-            return self.bound_to(target.base(), t);
         }
         let no_route = if self.clamped { CLAMP_INF } else { INF };
         let mut best = u64::from(INF);
@@ -240,164 +316,132 @@ impl SourcePlan {
             if via >= no_route {
                 continue;
             }
-            let lt = target.label(j, t);
-            if lt == NO_LABEL {
-                continue;
-            }
-            let cand = u64::from(via) + u64::from(lt);
-            if cand < best {
-                best = cand;
+            let lt = target_lab.label(j, t);
+            if lt != NO_LABEL {
+                best = best.min(u64::from(via) + u64::from(lt));
             }
         }
         best.min(u64::from(INF)) as Dist
     }
 }
 
-/// Eq. 3 over a `(source, highway, target)` labelling triple, served
-/// from the packed mirrors: `min_{i,j} ls_i + δ_H(r_i, r_j) + lt_j`
-/// over *logical* entries — `O(|L(s)|·|L(t)|)` instead of the dense
-/// `O(|R|²)`. Undirected callers pass the same labelling three times
-/// ([`Labelling::upper_bound`] does); the directed index passes
-/// `(bwd, fwd, fwd)`. Exact for every width tier (`u64` accumulation).
-pub fn upper_bound_pair(
-    source_lab: &Labelling,
-    highway_lab: &Labelling,
-    target_lab: &Labelling,
-    s: Vertex,
-    t: Vertex,
-) -> Dist {
-    let srow = source_lab.packed().labels.row(s);
-    let trow = target_lab.packed().labels.row(t);
-    if srow.is_empty() || trow.is_empty() {
-        return INF;
-    }
-    let hp = &highway_lab.packed().highway;
-    let mut best = u64::from(INF);
-    for a in 0..srow.len() {
-        let (i, ls) = srow.entry(a);
-        for b in 0..trow.len() {
-            let (j, lt) = trow.entry(b);
-            let h = hp.get(i as usize, j as usize);
-            if h == INF {
-                continue;
-            }
-            best = best.min(ls as u64 + h as u64 + lt as u64);
-        }
-    }
-    best.min(u64::from(INF)) as Dist
-}
-
-/// Reusable query engine for undirected graphs: owns the bidirectional
-/// search workspace and a `via` scratch buffer so back-to-back queries
-/// allocate nothing.
+/// The Section 4 query engine: owns the bounded-search workspace `B`
+/// ([`BiBfs`] by default, `BiDijkstra` for weighted graphs) and a
+/// reusable [`SourcePlan`], so back-to-back queries allocate nothing.
+/// Every query takes a source view and a target view (see the module
+/// docs) plus the graph the labelling describes.
 #[derive(Debug, Default)]
-pub struct QueryEngine {
-    bibfs: BiBfs,
-    /// Per-pair Eq. 3 scratch: the clamped `via` accumulator, reused
-    /// across queries (see [`QueryEngine::pair_bound`]).
-    via: Vec<Dist>,
+pub struct QueryEngine<B = BiBfs> {
+    search: B,
+    /// Source-side Eq. 3 scratch, re-planned per query.
+    plan: SourcePlan,
 }
 
 impl QueryEngine {
+    /// An unweighted engine with its search arrays sized for `n`
+    /// vertices (they grow on demand either way).
     pub fn new(n: usize) -> Self {
         QueryEngine {
-            bibfs: BiBfs::new(n),
-            via: Vec::new(),
+            search: BiBfs::new(n),
+            plan: SourcePlan::default(),
         }
     }
+}
 
-    /// The Eq. 3 bound for one pair through the SIMD kernels: refill
-    /// the engine's `via` scratch from `s`'s packed row (dense
-    /// accumulate min-plus per source label), then price `t` with one
-    /// sparse gather. Falls back to the exact packed double loop when
-    /// the labelling leaves the clamped domain.
-    fn pair_bound(&mut self, lab: &Labelling, s: Vertex, t: Vertex) -> Dist {
-        let r = lab.num_landmarks();
-        self.via.clear();
-        self.via.resize(r, CLAMP_INF);
-        if fill_via_clamped(lab, lab, s, &mut self.via) {
-            let trow = lab.packed().labels.row(t);
-            if trow.clamp_safe {
-                return clamp_to_inf(kernel::gather_min(&self.via, trow.ids, trow.dists));
-            }
-        }
-        upper_bound_pair(lab, lab, lab, s, t)
-    }
-
-    /// Exact distance between `s` and `t` on the graph `g` that `lab`
-    /// currently describes; `None` if disconnected.
-    pub fn query<A: AdjacencyView>(
+impl<B> QueryEngine<B> {
+    /// Exact distance from `s` to `t` on the graph `g` the views
+    /// describe; `None` if disconnected or out of range.
+    pub fn query<S, T, G>(
         &mut self,
-        lab: &Labelling,
-        g: &A,
+        source: &S,
+        target: &T,
+        g: &G,
         s: Vertex,
         t: Vertex,
-    ) -> Option<Dist> {
-        let d = self.query_dist(lab, g, s, t);
+    ) -> Option<Dist>
+    where
+        S: LabelView + ?Sized,
+        T: LabelView + ?Sized,
+        B: BoundedSearch<G>,
+    {
+        let d = self.query_dist(source, target, g, s, t);
         (d != INF).then_some(d)
     }
 
-    /// As [`QueryEngine::query`] but returning `INF` for disconnected.
-    pub fn query_dist<A: AdjacencyView>(
+    /// As [`QueryEngine::query`] but returning `INF` for disconnected
+    /// or out-of-range pairs: the Eq. 3 bound through the engine's
+    /// plan, then one bounded search of `G[V\R]` below it.
+    pub fn query_dist<S, T, G>(
         &mut self,
-        lab: &Labelling,
-        g: &A,
+        source: &S,
+        target: &T,
+        g: &G,
         s: Vertex,
         t: Vertex,
-    ) -> Dist {
+    ) -> Dist
+    where
+        S: LabelView + ?Sized,
+        T: LabelView + ?Sized,
+        B: BoundedSearch<G>,
+    {
+        let n = B::num_vertices(g);
+        if (s as usize) >= n || (t as usize) >= n {
+            return INF;
+        }
         if s == t {
             return 0;
         }
-        match (lab.landmark_index(s), lab.landmark_index(t)) {
-            (Some(i), Some(j)) => lab.highway(i, j),
-            // Landmark–vertex distances are exact by the highway cover
-            // property (Eq. 2).
-            (Some(i), None) => lab.landmark_to_vertex(i, t),
-            (None, Some(j)) => lab.landmark_to_vertex(j, s),
-            (None, None) => {
-                let bound = self.pair_bound(lab, s, t);
-                let found = self.bibfs.run(g, s, t, bound, |v| !lab.is_landmark(v));
-                found.unwrap_or(bound)
-            }
+        // Landmark endpoints are exact by the highway cover property
+        // (Eq. 2).
+        if let Some(i) = target.landmark_index(s) {
+            return target.landmark_dist(i, t).dist();
         }
+        if let Some(j) = source.landmark_index(t) {
+            return source.landmark_dist(j, s).dist();
+        }
+        self.plan.replan(source, target, s);
+        let bound = self.plan.bound_to(target, t);
+        self.search
+            .run(g, s, t, bound, |v| !target.is_landmark(v))
+            .unwrap_or(bound)
     }
 
-    /// The labelling-only upper bound (for diagnostics / benches).
-    pub fn upper_bound(&self, lab: &Labelling, s: Vertex, t: Vertex) -> Dist {
-        lab.upper_bound(s, t)
-    }
-
-    /// One source, many targets (see the module docs): build a
-    /// [`SourcePlan`] once, price every target's Eq. 3 bound in
-    /// `O(|L(t)|)`, then refine non-landmark targets — per-target
-    /// bounded BiBFS when few remain, or a single bounded sweep of
-    /// `G[V\R]` from `s` once [`sweep_min_targets`] of them need
-    /// search.
+    /// One source, many targets (see the module docs): plan `s` once,
+    /// price every target's Eq. 3 bound in `O(|L(t)|)`, then refine
+    /// non-landmark targets — per-target bounded searches when few
+    /// remain, or a single bounded sweep of `G[V\R]` from `s` once
+    /// [`sweep_min_targets`] of them need search.
     ///
     /// Answers equal [`QueryEngine::query_dist`] pair by pair; `INF`
     /// marks disconnected or out-of-range endpoints.
-    pub fn distances_from<A: AdjacencyView>(
+    pub fn distances_from<S, T, G>(
         &mut self,
-        lab: &Labelling,
-        g: &A,
+        source: &S,
+        target: &T,
+        g: &G,
         s: Vertex,
         targets: &[Vertex],
-    ) -> Vec<Dist> {
-        let n = g.num_vertices();
+    ) -> Vec<Dist>
+    where
+        S: LabelView + ?Sized,
+        T: LabelView + ?Sized,
+        B: BoundedSearch<G>,
+    {
+        let n = B::num_vertices(g);
         let mut out = vec![INF; targets.len()];
         if (s as usize) >= n {
             return out;
         }
-        // Landmark sources are exact from the labelling alone (Eq. 2).
-        if let Some(i) = lab.landmark_index(s) {
+        // A landmark source is exact from the labelling alone (Eq. 2).
+        if let Some(i) = target.landmark_index(s) {
             for (slot, &t) in out.iter_mut().zip(targets) {
                 if (t as usize) < n {
-                    *slot = lab.landmark_to_vertex(i, t);
+                    *slot = target.landmark_dist(i, t).dist();
                 }
             }
             return out;
         }
-        let plan = SourcePlan::new(lab, lab, s);
+        self.plan.replan(source, target, s);
         let mut refine: Vec<usize> = Vec::new();
         for (k, &t) in targets.iter().enumerate() {
             if (t as usize) >= n {
@@ -407,166 +451,63 @@ impl QueryEngine {
                 out[k] = 0;
                 continue;
             }
-            if let Some(j) = lab.landmark_index(t) {
-                out[k] = lab.landmark_to_vertex(j, s);
+            if let Some(j) = source.landmark_index(t) {
+                out[k] = source.landmark_dist(j, s).dist();
                 continue;
             }
-            out[k] = plan.bound_to(lab, t);
+            out[k] = self.plan.bound_to(target, t);
             refine.push(k);
         }
+        let allowed = |v: Vertex| !target.is_landmark(v);
         if refine.len() >= sweep_min_targets(n) {
             // One sweep bounded by the largest per-target bound: a
             // restricted path shorter than its pair's bound lies within
             // the horizon, so min(bound, sweep) is exact per pair.
             let horizon = refine.iter().map(|&k| out[k]).max().unwrap_or(0);
-            self.bibfs
-                .sweep(g, s, horizon, usize::MAX, |v| !lab.is_landmark(v));
+            self.search.sweep(g, s, horizon, usize::MAX, allowed);
             for &k in &refine {
-                out[k] = out[k].min(self.bibfs.sweep_dist(targets[k]));
+                out[k] = out[k].min(self.search.sweep_dist(targets[k]));
             }
         } else {
             for &k in &refine {
                 let bound = out[k];
-                let found = self
-                    .bibfs
-                    .run(g, s, targets[k], bound, |v| !lab.is_landmark(v));
+                let found = self.search.run(g, s, targets[k], bound, allowed);
                 out[k] = found.unwrap_or(bound);
             }
         }
         out
     }
 
-    /// As [`QueryEngine::query_dist`] over a patched labelling view —
-    /// the per-pair path of a what-if session. `g` is the session's
-    /// private overlay view of the hypothetical graph.
-    pub fn query_dist_patched<A: AdjacencyView>(
-        &mut self,
-        pl: &PatchedLabels<'_>,
-        g: &A,
-        s: Vertex,
-        t: Vertex,
-    ) -> Dist {
-        if s == t {
-            return 0;
+    /// The `k` vertices closest to `s` (excluding `s`), as
+    /// `(vertex, distance)` nondecreasing by distance: a capped sweep
+    /// of the *full* graph — distances there are exact, so no
+    /// labelling is consulted. Empty when `s` is out of range.
+    ///
+    /// The answer set is **deterministic**: the sweep settles at least
+    /// `k + 1` vertices in distance order (a BFS completes the level
+    /// the cap lands in), and the result is canonicalized to
+    /// `(distance, id)` order before the cut at `k`. The same query
+    /// therefore answers identically before and after CSR compaction or
+    /// any other adjacency reordering of an identical graph.
+    pub fn top_k_closest<G>(&mut self, g: &G, s: Vertex, k: usize) -> Vec<(Vertex, Dist)>
+    where
+        B: BoundedSearch<G>,
+    {
+        if (s as usize) >= B::num_vertices(g) || k == 0 {
+            return Vec::new();
         }
-        match (pl.landmark_index(s), pl.landmark_index(t)) {
-            (Some(i), Some(j)) => pl.highway(i, j),
-            (Some(i), None) => pl.landmark_to_vertex(i, t),
-            (None, Some(j)) => pl.landmark_to_vertex(j, s),
-            (None, None) => {
-                let bound = upper_bound_pair_patched(pl, pl, pl, s, t);
-                let found = self.bibfs.run(g, s, t, bound, |v| !pl.is_landmark(v));
-                found.unwrap_or(bound)
-            }
-        }
-    }
-
-    /// As [`QueryEngine::distances_from`] over a patched labelling
-    /// view, with the same landmark-source, sweep-vs-search and
-    /// range-handling structure. Answers equal
-    /// [`QueryEngine::query_dist_patched`] pair by pair.
-    pub fn distances_from_patched<A: AdjacencyView>(
-        &mut self,
-        pl: &PatchedLabels<'_>,
-        g: &A,
-        s: Vertex,
-        targets: &[Vertex],
-    ) -> Vec<Dist> {
-        let n = g.num_vertices();
-        let mut out = vec![INF; targets.len()];
-        if (s as usize) >= n {
-            return out;
-        }
-        if let Some(i) = pl.landmark_index(s) {
-            for (slot, &t) in out.iter_mut().zip(targets) {
-                if (t as usize) < n {
-                    *slot = pl.landmark_to_vertex(i, t);
-                }
-            }
-            return out;
-        }
-        let plan = SourcePlan::new_patched(pl, pl, s);
-        let mut refine: Vec<usize> = Vec::new();
-        for (k, &t) in targets.iter().enumerate() {
-            if (t as usize) >= n {
-                continue;
-            }
-            if t == s {
-                out[k] = 0;
-                continue;
-            }
-            if let Some(j) = pl.landmark_index(t) {
-                out[k] = pl.landmark_to_vertex(j, s);
-                continue;
-            }
-            out[k] = plan.bound_to_patched(pl, t);
-            refine.push(k);
-        }
-        if refine.len() >= sweep_min_targets(n) {
-            let horizon = refine.iter().map(|&k| out[k]).max().unwrap_or(0);
-            self.bibfs
-                .sweep(g, s, horizon, usize::MAX, |v| !pl.is_landmark(v));
-            for &k in &refine {
-                out[k] = out[k].min(self.bibfs.sweep_dist(targets[k]));
-            }
-        } else {
-            for &k in &refine {
-                let bound = out[k];
-                let found = self
-                    .bibfs
-                    .run(g, s, targets[k], bound, |v| !pl.is_landmark(v));
-                out[k] = found.unwrap_or(bound);
-            }
-        }
+        self.search.sweep(g, s, INF, k.saturating_add(1), |_| true);
+        let search = &self.search;
+        let mut out: Vec<(Vertex, Dist)> = search
+            .swept()
+            .iter()
+            .filter(|&&v| v != s)
+            .map(|&v| (v, search.sweep_dist(v)))
+            .collect();
+        out.sort_unstable_by_key(|&(v, d)| (d, v));
+        out.truncate(k);
         out
     }
-
-    /// The `k` vertices closest to `s` (excluding `s` itself), as
-    /// `(vertex, distance)` in nondecreasing-distance order (see
-    /// [`bfs_top_k`]).
-    pub fn top_k_closest<A: AdjacencyView>(
-        &mut self,
-        g: &A,
-        s: Vertex,
-        k: usize,
-    ) -> Vec<(Vertex, Dist)> {
-        bfs_top_k(&mut self.bibfs, g, s, k)
-    }
-}
-
-/// The `k` vertices closest to `s` (excluding `s`), nondecreasing by
-/// distance: a plain capped BFS sweep of the *full* graph — distances
-/// there are exact, so no labelling is consulted. Shared by the
-/// undirected query engine and the directed snapshot path (which
-/// follows out-arcs through its `AdjacencyView`).
-///
-/// The answer set is **deterministic**: the sweep always completes the
-/// BFS level the cap lands in (so every vertex at the boundary distance
-/// is a candidate), and ties at the boundary are broken by ascending
-/// vertex id. The same query therefore answers identically before and
-/// after CSR compaction or any other adjacency reordering of an
-/// identical graph.
-pub fn bfs_top_k<A: AdjacencyView>(
-    bibfs: &mut BiBfs,
-    g: &A,
-    s: Vertex,
-    k: usize,
-) -> Vec<(Vertex, Dist)> {
-    if (s as usize) >= g.num_vertices() || k == 0 {
-        return Vec::new();
-    }
-    bibfs.sweep(g, s, INF, k.saturating_add(1), |_| true);
-    let mut out: Vec<(Vertex, Dist)> = bibfs
-        .swept()
-        .iter()
-        .filter(|&&v| v != s)
-        .map(|&v| (v, bibfs.sweep_dist(v)))
-        .collect();
-    // The sweep is nondecreasing by distance but adjacency-ordered
-    // within a level; canonicalize to (distance, id) and cut at k.
-    out.sort_unstable_by_key(|&(v, d)| (d, v));
-    out.truncate(k);
-    out
 }
 
 #[cfg(test)]
@@ -586,7 +527,7 @@ mod tests {
         for s in 0..g.num_vertices() as Vertex {
             for t in 0..g.num_vertices() as Vertex {
                 assert_eq!(
-                    engine.query_dist(&lab, g, s, t),
+                    engine.query_dist(&lab, &lab, g, s, t),
                     truth[s as usize][t as usize],
                     "query({s},{t}) with {k} landmarks"
                 );
@@ -621,10 +562,10 @@ mod tests {
         assert_all_pairs_exact(&g, 2);
         let lab = build_labelling(&g, vec![0]).unwrap();
         let mut engine = QueryEngine::new(6);
-        assert_eq!(engine.query(&lab, &g, 0, 4), None);
-        assert_eq!(engine.query(&lab, &g, 3, 4), Some(1));
-        assert_eq!(engine.query(&lab, &g, 5, 5), Some(0));
-        assert_eq!(engine.query(&lab, &g, 5, 0), None);
+        assert_eq!(engine.query(&lab, &lab, &g, 0, 4), None);
+        assert_eq!(engine.query(&lab, &lab, &g, 3, 4), Some(1));
+        assert_eq!(engine.query(&lab, &lab, &g, 5, 5), Some(0));
+        assert_eq!(engine.query(&lab, &lab, &g, 5, 0), None);
     }
 
     #[test]
@@ -633,12 +574,12 @@ mod tests {
         let lab = build_labelling(&g, vec![1, 4]).unwrap();
         let mut engine = QueryEngine::new(6);
         // landmark–landmark via highway
-        assert_eq!(engine.query(&lab, &g, 1, 4), Some(3));
+        assert_eq!(engine.query(&lab, &lab, &g, 1, 4), Some(3));
         // landmark–vertex via Eq. 2
-        assert_eq!(engine.query(&lab, &g, 1, 5), Some(4));
-        assert_eq!(engine.query(&lab, &g, 0, 4), Some(4));
+        assert_eq!(engine.query(&lab, &lab, &g, 1, 5), Some(4));
+        assert_eq!(engine.query(&lab, &lab, &g, 0, 4), Some(4));
         // same landmark
-        assert_eq!(engine.query(&lab, &g, 4, 4), Some(0));
+        assert_eq!(engine.query(&lab, &lab, &g, 4, 4), Some(0));
     }
 
     #[test]
@@ -653,11 +594,11 @@ mod tests {
         // Upper bound through landmark 3: d(0,3)+d(3,2) = 2; the direct
         // path 0-1-2 also has length 2 — equal here. For (1, 1)? Use
         // (0, 2): both routes length 2.
-        assert_eq!(engine.query(&lab, &g, 0, 2), Some(2));
+        assert_eq!(engine.query(&lab, &lab, &g, 0, 2), Some(2));
         // (1, 3) is landmark query.
-        assert_eq!(engine.query(&lab, &g, 1, 3), Some(2));
+        assert_eq!(engine.query(&lab, &lab, &g, 1, 3), Some(2));
         // (0, 1): bound via landmark = 1 + 2... actual edge = 1.
-        assert_eq!(engine.query(&lab, &g, 0, 1), Some(1));
+        assert_eq!(engine.query(&lab, &lab, &g, 0, 1), Some(1));
     }
 
     #[test]
@@ -707,13 +648,21 @@ mod tests {
             for s in 0..60u32 {
                 // Both the sweep path (many targets) and the per-target
                 // BiBFS path (few targets) must agree with query_dist.
-                let swept = engine.distances_from(&lab, &g, s, &all);
+                let swept = engine.distances_from(&lab, &lab, &g, s, &all);
                 for (&t, &d) in all.iter().zip(&swept) {
-                    assert_eq!(d, engine.query_dist(&lab, &g, s, t), "sweep ({s},{t})");
+                    assert_eq!(
+                        d,
+                        engine.query_dist(&lab, &lab, &g, s, t),
+                        "sweep ({s},{t})"
+                    );
                 }
-                let direct = engine.distances_from(&lab, &g, s, &few);
+                let direct = engine.distances_from(&lab, &lab, &g, s, &few);
                 for (&t, &d) in few.iter().zip(&direct) {
-                    assert_eq!(d, engine.query_dist(&lab, &g, s, t), "direct ({s},{t})");
+                    assert_eq!(
+                        d,
+                        engine.query_dist(&lab, &lab, &g, s, t),
+                        "direct ({s},{t})"
+                    );
                 }
             }
         }
@@ -726,16 +675,19 @@ mod tests {
         let mut engine = QueryEngine::new(6);
         let targets = [0, 2, 3, 5, 9, 4];
         assert_eq!(
-            engine.distances_from(&lab, &g, 0, &targets),
+            engine.distances_from(&lab, &lab, &g, 0, &targets),
             vec![0, 2, INF, INF, INF, INF]
         );
         // Landmark source: answered from the labelling alone.
         assert_eq!(
-            engine.distances_from(&lab, &g, 1, &targets),
+            engine.distances_from(&lab, &lab, &g, 1, &targets),
             vec![1, 1, INF, INF, INF, INF]
         );
         // Out-of-range source.
-        assert_eq!(engine.distances_from(&lab, &g, 17, &targets), vec![INF; 6]);
+        assert_eq!(
+            engine.distances_from(&lab, &lab, &g, 17, &targets),
+            vec![INF; 6]
+        );
     }
 
     #[test]
@@ -749,7 +701,7 @@ mod tests {
         assert_eq!(engine.top_k_closest(&g, 6, 100).len(), 6);
         // Distances reported must match the query path.
         for (v, d) in engine.top_k_closest(&g, 2, 6) {
-            assert_eq!(Some(d), engine.query(&lab, &g, 2, v));
+            assert_eq!(Some(d), engine.query(&lab, &lab, &g, 2, v));
         }
     }
 
@@ -758,10 +710,9 @@ mod tests {
         let g = barabasi_albert(120, 3, 11);
         let lab = build_labelling(&g, LandmarkSelection::TopDegree(8).select(&g)).unwrap();
         let truth = all_pairs_bfs(&g);
-        let engine = QueryEngine::new(g.num_vertices());
         for s in (0..120u32).step_by(7) {
             for t in (0..120u32).step_by(11) {
-                let ub = engine.upper_bound(&lab, s, t);
+                let ub = lab.upper_bound(s, t);
                 let d = truth[s as usize][t as usize];
                 if !lab.is_landmark(s) && !lab.is_landmark(t) && s != t {
                     assert!(ub as u64 >= d as u64, "bound must be admissible");

@@ -45,16 +45,19 @@ fn check_consistency(
     ctx: &str,
 ) {
     let sources: Vec<Vertex> = (0..N as Vertex).step_by(7).collect();
-    let all: Vec<Vertex> = (0..N as Vertex).collect();
+    // Every vertex, repeated until the fan-out crosses the adaptive
+    // sweep threshold; the extra round covers the landmark and source
+    // entries, which skip the search.
+    let threshold = batchhl::hcl::sweep_min_targets(N);
+    let rounds = threshold.div_ceil(N) + 1;
+    let all: Vec<Vertex> = (0..N as Vertex).cycle().take(rounds * N).collect();
     let small: Vec<Vertex> = (0..N as Vertex).step_by(13).collect();
-    assert!(
-        small.len() < batchhl::hcl::SWEEP_MIN_TARGETS
-            && all.len() >= batchhl::hcl::SWEEP_MIN_TARGETS
-    );
+    assert!(small.len() < threshold && all.len() >= threshold);
 
     for &s in &sources {
         let dist = truth(s);
         let want: Vec<Option<Dist>> = dist.iter().map(|&d| (d != INF).then_some(d)).collect();
+        let want_all: Vec<Option<Dist>> = all.iter().map(|&t| want[t as usize]).collect();
         for t in 0..N as Vertex {
             assert_eq!(
                 oracle.query(s, t),
@@ -62,17 +65,21 @@ fn check_consistency(
                 "{ctx}: query({s},{t})"
             );
         }
-        // One-to-many: the sweep path (N targets) and the per-target
-        // path (few targets) both match truth; the reader matches the
-        // owner.
-        assert_eq!(oracle.distances_from(s, &all), want, "{ctx}: fanout({s})");
+        // One-to-many: the sweep path (many targets) and the
+        // per-target path (few targets) both match truth; the reader
+        // matches the owner.
+        assert_eq!(
+            oracle.distances_from(s, &all),
+            want_all,
+            "{ctx}: fanout({s})"
+        );
         let got_small = oracle.distances_from(s, &small);
         for (&t, &d) in small.iter().zip(&got_small) {
             assert_eq!(d, want[t as usize], "{ctx}: direct fanout({s},{t})");
         }
         assert_eq!(
             reader.distances_from(s, &all),
-            want,
+            want_all,
             "{ctx}: reader fanout({s})"
         );
 

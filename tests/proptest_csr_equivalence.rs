@@ -174,7 +174,7 @@ proptest! {
             for s in 0..N as Vertex {
                 for t in 0..N as Vertex {
                     // Same labelling, dynamic adjacency traversal:
-                    let dynamic = engine.query_dist(&published.lab, &published.graph, s, t);
+                    let dynamic = engine.query_dist(&published.lab, &published.lab, &published.graph, s, t);
                     prop_assert_eq!(reader.query_dist(s, t), dynamic, "query({}, {})", s, t);
                 }
             }

@@ -15,6 +15,7 @@
 
 use batchhl::graph::weighted::WeightedGraph;
 use batchhl::graph::{DynamicDiGraph, DynamicGraph, Vertex};
+use batchhl::hcl::sweep_min_targets;
 use batchhl::{Dist, DistanceOracle, Edit, LandmarkSelection, Oracle};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -43,6 +44,14 @@ fn commit_on(twin: &mut DistanceOracle, edits: &[Edit]) {
         session = session.push(e);
     }
     session.commit().expect("twin commit");
+}
+
+/// Every vertex, repeated until the fan-out crosses the adaptive sweep
+/// threshold with a margin: landmark and source entries skip the
+/// search, so they do not count towards it.
+fn sweep_targets() -> Vec<Vertex> {
+    let rounds = sweep_min_targets(N).div_ceil(N) + 2;
+    (0..N as Vertex).cycle().take(rounds * N).collect()
 }
 
 /// All-pairs answers over the vertex range both the base and the
@@ -103,6 +112,13 @@ proptest! {
             session.distances_from(1, &targets),
             twin.distances_from(1, &targets)
         );
+        // The sweep branch of the one-to-many path.
+        let many = sweep_targets();
+        prop_assert!(many.len() >= sweep_min_targets(N));
+        prop_assert_eq!(
+            session.distances_from(1, &many),
+            twin.distances_from(1, &many)
+        );
 
         // 2. the base reader is untouched while the session lives...
         let during = answer_grid(&mut |s, t| reader.query(s, t));
@@ -152,6 +168,13 @@ proptest! {
         prop_assert_eq!(
             session.distances_from(2, &targets),
             twin.distances_from(2, &targets)
+        );
+        // The sweep branch of the one-to-many path.
+        let many = sweep_targets();
+        prop_assert!(many.len() >= sweep_min_targets(N));
+        prop_assert_eq!(
+            session.distances_from(2, &many),
+            twin.distances_from(2, &many)
         );
 
         prop_assert_eq!(session.version(), v0);
@@ -206,6 +229,13 @@ proptest! {
         prop_assert_eq!(
             session.distances_from(0, &targets),
             twin.distances_from(0, &targets)
+        );
+        // The sweep branch of the one-to-many path.
+        let many = sweep_targets();
+        prop_assert!(many.len() >= sweep_min_targets(N));
+        prop_assert_eq!(
+            session.distances_from(0, &many),
+            twin.distances_from(0, &many)
         );
 
         prop_assert_eq!(session.version(), v0);
