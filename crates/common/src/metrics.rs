@@ -1,5 +1,6 @@
-//! Lightweight operational metrics: atomic counters, fixed-bucket
-//! latency histograms, and a Prometheus-style text exposition.
+//! Lightweight operational metrics: atomic counters and gauges,
+//! fixed-bucket latency histograms, and a Prometheus-style text
+//! exposition.
 //!
 //! The serving tier (`batchhl-server`) and the oracle's own commit path
 //! both record into these, so query/commit latency is observable with
@@ -64,6 +65,30 @@ impl Counter {
     }
 
     /// Current count.
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
+}
+
+/// A value that is set rather than accumulated (sizes, last-seen
+/// counts).
+#[derive(Debug, Default)]
+pub struct Gauge {
+    value: AtomicU64,
+}
+
+impl Gauge {
+    pub fn new() -> Self {
+        Gauge::default()
+    }
+
+    /// Replace the value.
+    #[inline]
+    pub fn set(&self, v: u64) {
+        self.value.store(v, Ordering::Relaxed);
+    }
+
+    /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
@@ -161,7 +186,18 @@ impl Histogram {
 
 enum Metric {
     Counter(Arc<Counter>),
+    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
+}
+
+impl Metric {
+    fn kind(&self) -> &'static str {
+        match self {
+            Metric::Counter(_) => "counter",
+            Metric::Gauge(_) => "gauge",
+            Metric::Histogram(_) => "histogram",
+        }
+    }
 }
 
 /// A named collection of metrics with text exposition.
@@ -181,7 +217,7 @@ impl Registry {
     /// The counter named `name`, created on first use.
     ///
     /// # Panics
-    /// If `name` is already registered as a histogram.
+    /// If `name` is already registered as another kind of metric.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         match inner
@@ -189,22 +225,37 @@ impl Registry {
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
         {
             Metric::Counter(c) => Arc::clone(c),
-            Metric::Histogram(_) => panic!("metric {name:?} is registered as a histogram"),
+            other => panic!("metric {name:?} is registered as a {}", other.kind()),
+        }
+    }
+
+    /// The gauge named `name`, created on first use.
+    ///
+    /// # Panics
+    /// If `name` is already registered as another kind of metric.
+    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        match inner
+            .entry(name.to_string())
+            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
+        {
+            Metric::Gauge(g) => Arc::clone(g),
+            other => panic!("metric {name:?} is registered as a {}", other.kind()),
         }
     }
 
     /// The histogram named `name`, created on first use.
     ///
     /// # Panics
-    /// If `name` is already registered as a counter.
+    /// If `name` is already registered as another kind of metric.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         match inner
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
         {
-            Metric::Counter(_) => panic!("metric {name:?} is registered as a counter"),
             Metric::Histogram(h) => Arc::clone(h),
+            other => panic!("metric {name:?} is registered as a {}", other.kind()),
         }
     }
 
@@ -220,6 +271,9 @@ impl Registry {
             match metric {
                 Metric::Counter(c) => {
                     out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.get()));
+                }
+                Metric::Gauge(g) => {
+                    out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.get()));
                 }
                 Metric::Histogram(h) => {
                     out.push_str(&format!("# TYPE {name} histogram\n"));
@@ -264,6 +318,18 @@ mod tests {
         assert_eq!(c.get(), 5);
         // Same name, same counter.
         assert_eq!(r.counter("requests_total").get(), 5);
+    }
+
+    #[test]
+    fn gauges_hold_the_last_value() {
+        let r = Registry::new();
+        let g = r.gauge("resident_bytes");
+        g.set(7);
+        g.set(3);
+        assert_eq!(r.gauge("resident_bytes").get(), 3);
+        assert!(r
+            .render()
+            .contains("# TYPE resident_bytes gauge\nresident_bytes 3\n"));
     }
 
     #[test]

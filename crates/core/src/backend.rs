@@ -24,7 +24,7 @@ use crate::whatif::WhatIfQuery;
 use batchhl_common::{Dist, Vertex};
 use batchhl_graph::weighted::{Weight, WeightedGraph, WeightedUpdate};
 use batchhl_graph::{Batch, DynamicDiGraph, DynamicGraph};
-use batchhl_hcl::{LabelError, LandmarkSelection};
+use batchhl_hcl::{LabelError, LabelResidency, LandmarkSelection};
 use std::fmt;
 
 /// Which index family a backend (or a graph source) belongs to.
@@ -244,6 +244,10 @@ pub trait Backend: Send {
 
     /// Logical labelling size in bytes (Table 4's metric).
     fn label_size_bytes(&self) -> usize;
+
+    /// Resident label memory across the working buffer and every live
+    /// generation, each shared page and mirror cell counted once.
+    fn label_residency(&self) -> LabelResidency;
 
     /// Exact distance; `None` when disconnected/unreachable or out of
     /// range. Directed backends answer `d(s → t)`.
@@ -486,6 +490,10 @@ impl Backend for BatchIndex {
         self.labelling().size_bytes()
     }
 
+    fn label_residency(&self) -> LabelResidency {
+        self.label_residency()
+    }
+
     fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
         BatchIndex::query(self, s, t)
     }
@@ -576,6 +584,10 @@ impl Backend for DirectedBatchIndex {
 
     fn label_size_bytes(&self) -> usize {
         self.size_bytes()
+    }
+
+    fn label_residency(&self) -> LabelResidency {
+        self.label_residency()
     }
 
     fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
@@ -677,6 +689,10 @@ impl Backend for WeightedBatchIndex {
 
     fn label_size_bytes(&self) -> usize {
         self.labelling().size_bytes()
+    }
+
+    fn label_residency(&self) -> LabelResidency {
+        self.label_residency()
     }
 
     fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {

@@ -31,7 +31,8 @@ use crate::workspace::UpdateWorkspace;
 use batchhl_common::{Dist, Vertex, INF};
 use batchhl_graph::{Batch, CsrDiDelta, DynamicDiGraph, Reversed, Update};
 use batchhl_hcl::{
-    build_labelling_parallel, LabelError, LabelStore, Labelling, QueryEngine, SourcePlan, Versioned,
+    build_labelling_parallel, LabelError, LabelResidency, LabelStore, Labelling, QueryEngine,
+    SourcePlan, Versioned,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -64,12 +65,11 @@ impl DirectedSnapshot {
     }
 }
 
-/// What one pass changed — enough to replay it onto a recycled buffer.
+/// What one pass changed in the graph — enough to replay it onto a
+/// recycled buffer (labels are adopted from the fresh generation).
 #[derive(Debug)]
 struct PassLog {
     norm: Batch,
-    fwd_aff: engine::AffectedLists,
-    bwd_aff: engine::AffectedLists,
 }
 
 /// Batch-dynamic distance index over a directed graph.
@@ -163,12 +163,14 @@ impl DirectedBatchIndex {
             });
         }
         let view = CsrDiDelta::from_adjacency(&graph);
-        let work = DirectedSnapshot {
+        let mut work = DirectedSnapshot {
             graph,
             fwd,
             bwd,
             view,
         };
+        work.fwd.seal();
+        work.bwd.seal();
         Ok(DirectedBatchIndex {
             store: LabelStore::new(work.clone()),
             work,
@@ -185,6 +187,17 @@ impl DirectedBatchIndex {
 
     pub fn config(&self) -> &IndexConfig {
         &self.config
+    }
+
+    /// Resident label memory of the working buffer and every live
+    /// generation (both directions), each shared page and mirror cell
+    /// counted once.
+    pub fn label_residency(&self) -> LabelResidency {
+        let live = self.store.live_generations();
+        let labs = [&self.work.fwd, &self.work.bwd]
+            .into_iter()
+            .chain(live.iter().flat_map(|g| [&g.fwd, &g.bwd]));
+        LabelResidency::measure(labs)
     }
 
     pub fn forward_labelling(&self) -> &Labelling {
@@ -350,24 +363,22 @@ impl DirectedBatchIndex {
             .collect();
         stats.affected_total = stats.affected_per_landmark.iter().sum();
 
-        // Publish and recycle a retired generation's buffers.
+        // Seal, publish, and recycle a retired generation's buffers.
+        stats.record_seal(self.work.fwd.seal());
+        stats.record_seal(self.work.bwd.seal());
         engine::publish_pass(
             &self.store,
             &mut self.recycler,
             &mut self.work,
             DirectedSnapshot::placeholder(),
             old,
-            PassLog {
-                norm,
-                fwd_aff,
-                bwd_aff,
-            },
+            PassLog { norm },
             |buf, fresh, log| {
                 buf.graph.apply_batch(&log.norm);
                 let graph = &buf.graph;
                 buf.view.absorb_arcs(graph, &arc_list(&log.norm));
-                engine::sync_affected(&fresh.fwd, &mut buf.fwd, &log.fwd_aff);
-                engine::sync_affected(&fresh.bwd, &mut buf.bwd, &log.bwd_aff);
+                buf.fwd.clone_from(&fresh.fwd);
+                buf.bwd.clone_from(&fresh.bwd);
             },
         );
 

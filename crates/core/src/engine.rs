@@ -1,5 +1,6 @@
 //! The unified update engine: one search→repair orchestration for every
-//! index variant.
+//! index variant, and the publish step that turns a repaired working
+//! buffer into the next generation.
 //!
 //! Algorithm 1 is the same loop in every setting: for each landmark,
 //! run a batch search over the updated graph `G′` against the *old*
@@ -16,8 +17,21 @@
 //! paper's parallel variant: a kernel invocation for landmark `i` may
 //! read the whole old labelling and graph, but may write only landmark
 //! `i`'s label row and highway row. That makes the parallel path safe
-//! with nothing shared but read-only state, and it is what lets the
-//! writer repair `Γ′` in place while published readers keep serving `Γ`.
+//! with nothing shared but read-only state.
+//!
+//! # The Γ → Γ′ double buffer
+//!
+//! `Γ′` starts every pass as a clone of the published `Γ`, which copies
+//! page pointers only (see `batchhl_hcl::labelling`). Repair writes
+//! through a [`LabelRow`] handle, so the pages it writes are copied and
+//! every other page stays shared with `Γ` and with older generations
+//! that readers pin. The index seals `Γ′`'s query mirror (re-sealing
+//! only the blocks the pass wrote), and `publish_pass` publishes it and
+//! makes the next `Γ′` a pointer copy of it: a recycled buffer takes
+//! the fresh generation's labels by `Labelling::clone_from`, which
+//! swaps only the page and cell pointers that differ. No label entry is
+//! ever copied back: the `Recycler` only replays graph and CSR view
+//! changes, which are not paged.
 
 use crate::repair::batch_repair;
 use crate::search::batch_search;
@@ -25,11 +39,11 @@ use crate::search_improved::batch_search_improved;
 use crate::workspace::UpdateWorkspace;
 use batchhl_common::{Dist, Vertex};
 use batchhl_graph::{AdjacencyView, Update};
-use batchhl_hcl::{labelling::RowPair, LabelPatch, Labelling, PatchRow};
+use batchhl_hcl::labelling::RowPair;
+use batchhl_hcl::{LabelPatch, LabelRow, Labelling, PatchRow};
 
-/// Per-landmark affected-vertex lists, in landmark order. The writer
-/// uses them to bring the recycled old buffer up to date
-/// ([`sync_affected`]) and reports their sizes in update stats.
+/// Per-landmark affected-vertex lists, in landmark order (their sizes
+/// are reported in update stats).
 pub type AffectedLists = Vec<Vec<Vertex>>;
 
 /// The variant-specific part of one update pass: how to search and
@@ -56,7 +70,7 @@ pub trait UpdateKernel<G: ?Sized + Sync>: Sync {
         g: &G,
         updates: &[Self::Update],
         i: usize,
-        label_row: &mut [Dist],
+        label_row: &mut LabelRow,
         highway_row: &mut [Dist],
         ws: &mut Self::Workspace,
     ) -> Vec<Vertex>;
@@ -87,7 +101,7 @@ impl<G: AdjacencyView + Sync> UpdateKernel<G> for BfsKernel {
         g: &G,
         updates: &[Update],
         i: usize,
-        label_row: &mut [Dist],
+        label_row: &mut LabelRow,
         highway_row: &mut [Dist],
         ws: &mut UpdateWorkspace,
     ) -> Vec<Vertex> {
@@ -190,14 +204,17 @@ where
 }
 
 /// The speculative twin of [`run_landmarks`]: run the same search +
-/// repair kernels for every landmark, but into *detached* copies of the
-/// old rows, collected as a [`LabelPatch`] — the shared labelling is
-/// never written. This is the labelling half of a what-if session:
-/// `old` must already be grown to the hypothetical graph's vertex count
-/// (see [`oracle_for`]) and `g` is the session's private overlay view.
+/// repair kernels for every landmark, but into *forks* of the old rows
+/// ([`LabelRow::fork`]), collected as a [`LabelPatch`] — the shared
+/// labelling is never written. This is the labelling half of a what-if
+/// session: `old` must already be grown to the hypothetical graph's
+/// vertex count (see [`oracle_for`]) and `g` is the session's private
+/// overlay view.
 ///
-/// Only rows the batch actually changed are kept (affected vertices or
-/// a rewritten highway entry); untouched landmarks fall through to the
+/// A fork shares every page with the old row and copies only the pages
+/// the repair writes, so a patch holds just the pages the batch
+/// changed. Only rows the batch actually changed are kept (a written
+/// label or highway entry); untouched landmarks fall through to the
 /// base when queried. Sessions are built on reader threads — no
 /// failpoints, no parallel fan-out, no writer state.
 pub(crate) fn run_landmarks_speculative<G, K>(
@@ -215,10 +232,9 @@ where
     let mut patch = LabelPatch::new(n);
     let mut ws = kernel.workspace(n);
     for i in 0..r {
-        let mut label_row: Box<[Dist]> = old.label_row(i).into();
-        let mut highway_row: Box<[Dist]> = (0..r).map(|j| old.highway(i, j)).collect();
-        let base_highway = highway_row.clone();
-        let aff = kernel.process_landmark(
+        let mut label_row = old.label_row(i).fork();
+        let mut highway_row: Box<[Dist]> = old.highway_row(i).into();
+        kernel.process_landmark(
             old,
             g,
             updates,
@@ -227,7 +243,7 @@ where
             &mut highway_row,
             &mut ws,
         );
-        if !aff.is_empty() || highway_row != base_highway {
+        if label_row.is_dirty() || *highway_row != *old.highway_row(i) {
             patch.insert_row(
                 i,
                 PatchRow {
@@ -251,25 +267,13 @@ fn landmark_failpoint() {
     }
 }
 
-/// Bring a recycled old-generation buffer up to the freshly repaired
-/// labelling by copying only what the pass touched: the affected label
-/// entries and each landmark's highway row. `O(affected + |R|²)` — this
-/// is what keeps the Γ → Γ′ double buffer from costing a full
-/// `O(|R|·|V|)` clone per batch.
-pub fn sync_affected(from: &Labelling, to: &mut Labelling, affected: &[Vec<Vertex>]) {
-    to.ensure_vertices(from.num_vertices());
-    let r = from.num_landmarks();
-    for (i, aff) in affected.iter().enumerate() {
-        for &v in aff {
-            to.set_label(i, v, from.label(i, v));
-        }
-        for j in 0..r {
-            to.set_highway_row(i, j, from.highway(i, j));
-        }
-    }
-}
-
 /// Reclaims retired generation buffers for a writer.
+///
+/// A generation's labels are page pointers, cheap to clone; its graph
+/// is not paged, and cloning it is the one `O(|V| + |E|)` copy a pass
+/// could still pay. So the writer reuses the retired generation's
+/// buffers and brings their graph and CSR view forward by replaying the
+/// logged batches.
 ///
 /// Immediately after a publish the just-retired generation is usually
 /// still pinned by readers — they re-pin lazily, on their next query —
@@ -279,15 +283,13 @@ pub fn sync_affected(from: &Labelling, to: &mut Labelling, affected: &[Vec<Verte
 /// log of the pass that superseded it: by the next publish, active
 /// readers have re-pinned past that generation and its buffer can be
 /// reclaimed by replaying the (at most two) logged passes. Steady
-/// state with busy readers reuses buffers every pass in
-/// `O(affected + batch)`; only a reader that pins a generation and
-/// never refreshes forces the clone fallback.
+/// state with busy readers reuses buffers every pass in `O(batch)`;
+/// only a reader that pins a generation and never refreshes forces the
+/// clone fallback.
 ///
-/// `L` is the per-pass replay log (normalized updates + affected
-/// lists); the caller's `replay` closure must transform a buffer
-/// holding the state *before* a logged pass into the state *after* it
-/// (label syncs may always copy from the latest published labelling —
-/// copying final values of every touched entry is order-insensitive).
+/// `L` is the per-pass replay log (the normalized updates); the
+/// caller's `replay` closure must transform a buffer's graph and view
+/// holding the state *before* a logged pass into the state *after* it.
 #[derive(Debug)]
 pub(crate) struct Recycler<S, L> {
     retired: Option<(std::sync::Arc<batchhl_hcl::Versioned<S>>, L)>,
@@ -346,15 +348,17 @@ impl<S, L> Recycler<S, L> {
     }
 }
 
-/// The publish epilogue every index runs after a repair pass: swap the
-/// working snapshot into the store, release the writer's own pin on the
-/// old generation, and rebuild the working buffer — from a recycled
-/// retired generation when possible ([`Recycler`]), from a full clone
-/// of the fresh one otherwise.
+/// The publish epilogue every index runs after a repair pass (and after
+/// sealing the working snapshot's labels): swap the working snapshot
+/// into the store, release the writer's own pin on the old generation,
+/// and rebuild the working buffer — from a recycled retired generation
+/// when possible ([`Recycler`]), from a full clone of the fresh one
+/// otherwise.
 ///
-/// `replay(buf, fresh, log)` must bring `buf` (holding the state just
-/// *before* a logged pass) to the state just *after* it, reading
-/// repaired entries from `fresh` (the newest published snapshot).
+/// `replay(buf, fresh, log)` must bring `buf`'s graph and view (holding
+/// the state just *before* a logged pass) to the state just *after* it,
+/// and point `buf`'s labellings at `fresh`'s pages and mirror cells with
+/// `Labelling::clone_from`.
 pub(crate) fn publish_pass<S: Clone, L>(
     store: &batchhl_hcl::LabelStore<S>,
     recycler: &mut Recycler<S, L>,
@@ -443,24 +447,6 @@ mod tests {
                     repaired_by_engine(&g0, vec![0, 1, 2, 5], &batch, improved, threads);
                 oracle::check_minimal(&g1, &lab)
                     .unwrap_or_else(|e| panic!("improved={improved} threads={threads}: {e}"));
-            }
-        }
-    }
-
-    #[test]
-    fn sync_affected_copies_exactly_the_touched_entries() {
-        let g = path(6);
-        let from = build_labelling(&g, vec![0, 5]).unwrap();
-        let mut to = from.clone();
-        // Perturb `to` everywhere; sync only vertex 3 for landmark 0.
-        to.set_label(0, 3, 9);
-        to.set_label(1, 4, 9);
-        sync_affected(&from, &mut to, &[vec![3], vec![]]);
-        assert_eq!(to.label(0, 3), from.label(0, 3), "synced back");
-        assert_eq!(to.label(1, 4), 9, "untouched entries stay");
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(to.highway(i, j), from.highway(i, j));
             }
         }
     }

@@ -28,7 +28,8 @@ use crate::workspace::UpdateWorkspace;
 use batchhl_common::{Dist, Vertex, INF};
 use batchhl_graph::{Batch, CsrDelta, DynamicGraph, VertexRemap};
 use batchhl_hcl::{
-    build_labelling_parallel, LabelStore, Labelling, LandmarkSelection, QueryEngine, Versioned,
+    build_labelling_parallel, LabelResidency, LabelStore, Labelling, LandmarkSelection,
+    QueryEngine, Versioned,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -136,14 +137,14 @@ impl IndexSnapshot {
     }
 }
 
-/// What one pass changed — enough to replay it onto a recycled buffer.
+/// What one pass changed in the graph — enough to replay it onto a
+/// recycled buffer (labels are adopted from the fresh generation).
 #[derive(Debug)]
 struct PassLog {
     norm: Batch,
     /// Distinct endpoints of `norm` — the vertices the CSR overlay
     /// must re-freeze after replaying the batch.
     touched: Vec<Vertex>,
-    affected: engine::AffectedLists,
 }
 
 /// Batch-dynamic distance index over an undirected graph.
@@ -216,7 +217,10 @@ impl BatchIndex {
         Self::assemble_snapshot(IndexSnapshot::new(graph, lab), config)
     }
 
-    fn assemble_snapshot(work: IndexSnapshot, config: IndexConfig) -> Self {
+    fn assemble_snapshot(mut work: IndexSnapshot, config: IndexConfig) -> Self {
+        // Generation 0 is served sealed, and the working buffer shares
+        // its pages and mirror cells.
+        work.lab.seal();
         let n = work.graph.num_vertices();
         BatchIndex {
             store: LabelStore::new(work.clone()),
@@ -255,6 +259,13 @@ impl BatchIndex {
     /// The most recently published generation (what readers see).
     pub fn published(&self) -> Arc<Versioned<IndexSnapshot>> {
         self.store.snapshot()
+    }
+
+    /// Resident label memory of the working buffer and every live
+    /// generation, each shared page and mirror cell counted once.
+    pub fn label_residency(&self) -> LabelResidency {
+        let live = self.store.live_generations();
+        LabelResidency::measure(std::iter::once(&self.work.lab).chain(live.iter().map(|g| &g.lab)))
     }
 
     /// The version number of the published generation. Bumps once per
@@ -431,10 +442,11 @@ impl BatchIndex {
         stats.affected_per_landmark = affected.iter().map(Vec::len).collect();
         stats.affected_total = stats.affected_per_landmark.iter().sum();
 
-        // Publish Γ′ and rebuild the working buffer from a retired
-        // generation: replay the logged batch(es) on its graph, re-
-        // freeze the replayed endpoints into its CSR view, and copy
-        // back only the entries the logged passes repaired.
+        // Seal and publish Γ′, then rebuild the working buffer from a
+        // retired generation: replay the logged batch(es) on its graph,
+        // re-freeze the replayed endpoints into its CSR view, and point
+        // its labels at the fresh generation's pages.
+        stats.record_seal(self.work.lab.seal());
         engine::publish_pass(
             &self.store,
             &mut self.recycler,
@@ -444,7 +456,6 @@ impl BatchIndex {
             PassLog {
                 norm: norm.clone(),
                 touched,
-                affected,
             },
             |buf, fresh, log| {
                 buf.graph.apply_batch(&log.norm);
@@ -453,7 +464,7 @@ impl BatchIndex {
                     .absorb(graph.num_vertices(), log.touched.iter().copied(), |v| {
                         graph.neighbors(v)
                     });
-                engine::sync_affected(&fresh.lab, &mut buf.lab, &log.affected);
+                buf.lab.clone_from(&fresh.lab);
             },
         );
         stats

@@ -38,11 +38,16 @@
 //! (graph + labelling) and a [`batchhl_hcl::LabelStore`] of published,
 //! immutable generations. `apply_batch` plays Algorithm 1 against that
 //! split: the published generation is the read-only old labelling `Γ`,
-//! the working snapshot is repaired in place into `Γ′`, and a single
-//! atomic swap publishes it. The retired generation's buffers are
-//! recycled when no reader holds them (`Arc::try_unwrap`), with only
-//! the affected entries re-synced — `O(affected + batch)` per pass, the
-//! same asymptotics the paper's in-place variant has.
+//! the working snapshot is repaired into `Γ′`, and a single atomic swap
+//! publishes it. Labels live in copy-on-write pages
+//! ([`batchhl_hcl::labelling`]): `Γ′` starts as a pointer clone of `Γ`,
+//! repair copies only the pages it writes, and the publish step
+//! re-seals only the query-mirror blocks the pass wrote. Every
+//! generation — working, published, pinned by readers — shares all
+//! other pages and mirror cells, so a pass costs `O(affected + batch)`
+//! in label work and memory, the asymptotics of the paper's in-place
+//! variant. The retired generation's graph buffers are recycled when no
+//! reader holds them (`Arc::try_unwrap`) by replaying the logged batch.
 //!
 //! **Readers.** [`BatchIndex::reader`] (and the directed/weighted
 //! counterparts) returns a `Send + Sync` [`reader::Reader`]: a handle

@@ -524,6 +524,73 @@ mod tests {
         }
     }
 
+    /// Whether two labellings serve one shared, sealed mirror.
+    fn share_mirror(a: &batchhl_hcl::Labelling, b: &batchhl_hcl::Labelling) -> bool {
+        let (x, y) = (a.packed().labels.blocks(), b.packed().labels.blocks());
+        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.ptr_eq(q))
+    }
+
+    fn encoded(lab: &batchhl_hcl::Labelling) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_labelling(lab, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn checkpoints_serialize_the_mirror_readers_use() {
+        use batchhl_graph::weighted::WeightedUpdate;
+        use batchhl_graph::Batch;
+        let config = IndexConfig {
+            selection: LandmarkSelection::TopDegree(4),
+            ..IndexConfig::default()
+        };
+        let g = barabasi_albert(400, 3, 17);
+        let mut batch = Batch::new();
+        batch.insert(3, 377);
+        batch.insert(250, 399);
+        batch.delete(0, 1);
+
+        // After a commit, a checkpoint and a query, the writer's buffer
+        // and the published generation share every mirror cell: the
+        // checkpoint sealed nothing of its own, and its label bytes are
+        // the published generation's.
+        let mut und = BatchIndex::build(g.clone(), config.clone());
+        und.apply_batch(&batch);
+        let mut buf = Vec::new();
+        write_checkpoint(&und, CheckpointMeta::default(), &mut buf).unwrap();
+        und.shared_reader().query(5, 390);
+        let published = und.published();
+        assert!(share_mirror(und.labelling(), &published.lab));
+        assert_eq!(encoded(und.labelling()), encoded(&published.lab));
+
+        let mut dg = DynamicDiGraph::new(g.num_vertices());
+        for (a, b) in g.edges() {
+            dg.insert_edge(a, b);
+            dg.insert_edge(b, a);
+        }
+        let mut dir = DirectedBatchIndex::build(dg, config);
+        dir.apply_batch(&batch);
+        write_checkpoint(&dir, CheckpointMeta::default(), &mut Vec::new()).unwrap();
+        dir.shared_reader().query(5, 390);
+        let published = dir.published();
+        assert!(share_mirror(dir.forward_labelling(), &published.fwd));
+        assert!(share_mirror(dir.backward_labelling(), &published.bwd));
+
+        let mut wg = WeightedGraph::new(g.num_vertices());
+        for (a, b) in g.edges() {
+            wg.insert_edge(a, b, 1 + (a + b) % 4);
+        }
+        let mut wtd = WeightedBatchIndex::build(wg, 4);
+        wtd.apply_batch(&[
+            WeightedUpdate::Insert(3, 377, 2),
+            WeightedUpdate::Delete(0, 1),
+        ]);
+        write_checkpoint(&wtd, CheckpointMeta::default(), &mut Vec::new()).unwrap();
+        wtd.shared_reader().query(5, 390);
+        let published = wtd.published();
+        assert!(share_mirror(wtd.labelling(), &published.lab));
+    }
+
     #[test]
     fn corruption_yields_typed_errors() {
         let config = IndexConfig {

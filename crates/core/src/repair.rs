@@ -27,7 +27,7 @@
 use crate::workspace::{dl_old, UpdateWorkspace};
 use batchhl_common::{Dist, LandmarkLength, Vertex, INF};
 use batchhl_graph::AdjacencyView;
-use batchhl_hcl::{Labelling, NO_LABEL};
+use batchhl_hcl::{LabelRow, Labelling, NO_LABEL};
 
 /// Run Algorithm 4 for landmark `i`.
 ///
@@ -36,14 +36,15 @@ use batchhl_hcl::{Labelling, NO_LABEL};
 /// * `ws.aff` — the affected set from batch search (drained in place),
 /// * `label_row` / `highway_row` — landmark `i`'s rows of the *new*
 ///   labelling `Γ′` (everything else of `Γ′` is untouched by landmark
-///   `i`, which is what makes landmark-level parallelism write-disjoint),
+///   `i`, which is what makes landmark-level parallelism write-disjoint;
+///   a label write copies its page only if `Γ` still shares it),
 /// * `lm_of` — vertex → landmark-index map (shared, read-only).
 #[allow(clippy::too_many_arguments)]
 pub fn batch_repair<A: AdjacencyView>(
     lab: &Labelling,
     g: &A,
     i: usize,
-    label_row: &mut [Dist],
+    label_row: &mut LabelRow,
     highway_row: &mut [Dist],
     ws: &mut UpdateWorkspace,
 ) {
@@ -125,7 +126,7 @@ pub(crate) fn finalize(
     i: usize,
     v: Vertex,
     dl: LandmarkLength,
-    label_row: &mut [Dist],
+    label_row: &mut LabelRow,
     highway_row: &mut [Dist],
 ) {
     if let Some(j) = lab.landmark_index(v) {
@@ -135,11 +136,11 @@ pub(crate) fn finalize(
             dl.is_infinite() || dl.through_landmark(),
             "paths ending at a landmark must carry the flag"
         );
-        label_row[v as usize] = NO_LABEL;
+        label_row.set(v, NO_LABEL);
     } else if dl.is_infinite() || dl.through_landmark() {
-        label_row[v as usize] = NO_LABEL;
+        label_row.set(v, NO_LABEL);
     } else {
-        label_row[v as usize] = dl.dist();
+        label_row.set(v, dl.dist());
     }
 }
 

@@ -2,7 +2,8 @@
 //!
 //! The paper's evaluation reads these directly: affected-vertex counts
 //! (Figure 2, Table 5) and wall-clock update times (Table 3, Figures 6
-//! and 7).
+//! and 7). The sharing counts (pages copied, mirror blocks re-sealed)
+//! show that a commit's label work follows what it changed.
 
 use std::time::Duration;
 
@@ -23,12 +24,24 @@ pub struct UpdateStats {
     /// Number of internal pipeline passes: 1 for BHL/BHL⁺, 2 for BHLₛ,
     /// one per update for UHL/UHL⁺.
     pub passes: usize,
+    /// Dense label pages the repair copied on write (every other page
+    /// stays shared with the previous generation).
+    pub pages_copied: usize,
+    /// Query-mirror blocks re-sealed at publish (every other sealed
+    /// cell stays shared with the previous generation).
+    pub blocks_resealed: usize,
     /// Wall-clock time of the whole update (graph application, search,
     /// repair, bookkeeping).
     pub elapsed: Duration,
 }
 
 impl UpdateStats {
+    /// Add one labelling seal's sharing counts.
+    pub(crate) fn record_seal(&mut self, sealed: batchhl_hcl::labelling::SealStats) {
+        self.pages_copied += sealed.pages_copied;
+        self.blocks_resealed += sealed.blocks_resealed;
+    }
+
     /// Fold another pass's stats into this one (sub-batches, UHL).
     pub fn absorb(&mut self, other: UpdateStats) {
         self.applied += other.applied;
@@ -47,6 +60,8 @@ impl UpdateStats {
             *acc += x;
         }
         self.passes += other.passes;
+        self.pages_copied += other.pages_copied;
+        self.blocks_resealed += other.blocks_resealed;
         self.elapsed += other.elapsed;
     }
 }
@@ -64,6 +79,8 @@ mod tests {
             affected_total: 10,
             affected_per_landmark: vec![4, 6],
             passes: 1,
+            pages_copied: 3,
+            blocks_resealed: 4,
             elapsed: Duration::from_millis(5),
         };
         let b = UpdateStats {
@@ -73,6 +90,8 @@ mod tests {
             affected_total: 7,
             affected_per_landmark: vec![1, 2, 4],
             passes: 1,
+            pages_copied: 1,
+            blocks_resealed: 2,
             elapsed: Duration::from_millis(2),
         };
         a.absorb(b);
@@ -82,6 +101,7 @@ mod tests {
         assert_eq!(a.affected_total, 17);
         assert_eq!(a.affected_per_landmark, vec![5, 8, 4]);
         assert_eq!(a.passes, 2);
+        assert_eq!((a.pages_copied, a.blocks_resealed), (4, 6));
         assert_eq!(a.elapsed, Duration::from_millis(7));
     }
 }

@@ -44,7 +44,10 @@ use batchhl_graph::weighted::{
     BiDijkstra, Weight, WeightedAdjacencyView, WeightedGraph, WeightedUpdate,
 };
 use batchhl_graph::WeightedCsrDelta;
-use batchhl_hcl::{LabelError, LabelStore, Labelling, LandmarkSelection, QueryEngine, Versioned};
+use batchhl_hcl::{
+    LabelError, LabelResidency, LabelRow, LabelStore, Labelling, LandmarkSelection, QueryEngine,
+    Versioned,
+};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -81,11 +84,11 @@ impl WeightedSnapshot {
     }
 }
 
-/// What one pass changed — enough to replay it onto a recycled buffer.
+/// What one pass changed in the graph — enough to replay it onto a
+/// recycled buffer (labels are adopted from the fresh generation).
 #[derive(Debug)]
 struct PassLog {
     effects: Vec<Effect>,
-    affected: engine::AffectedLists,
 }
 
 /// Scratch state for one weighted search→repair pass.
@@ -139,7 +142,7 @@ impl<W: WeightedAdjacencyView + Sync> UpdateKernel<W> for DijkstraKernel {
         g: &W,
         updates: &[Effect],
         i: usize,
-        label_row: &mut [Dist],
+        label_row: &mut LabelRow,
         highway_row: &mut [Dist],
         ws: &mut DijkstraWorkspace,
     ) -> Vec<Vertex> {
@@ -196,7 +199,7 @@ fn weighted_repair<W: WeightedAdjacencyView>(
     old: &Labelling,
     g: &W,
     i: usize,
-    label_row: &mut [Dist],
+    label_row: &mut LabelRow,
     highway_row: &mut [Dist],
     ws: &mut DijkstraWorkspace,
 ) {
@@ -305,7 +308,8 @@ impl WeightedBatchIndex {
                 .into_iter()
                 .for_each(|(v, ll)| write_entry(&mut lab, i, v, ll));
         }
-        let work = WeightedSnapshot { graph, lab, view };
+        let mut work = WeightedSnapshot { graph, lab, view };
+        work.lab.seal();
         Ok(WeightedBatchIndex {
             store: LabelStore::new(work.clone()),
             work,
@@ -337,7 +341,8 @@ impl WeightedBatchIndex {
             }
         }
         let view = WeightedCsrDelta::from_weighted(&graph);
-        let work = WeightedSnapshot { graph, lab, view };
+        let mut work = WeightedSnapshot { graph, lab, view };
+        work.lab.seal();
         Ok(WeightedBatchIndex {
             store: LabelStore::new(work.clone()),
             work,
@@ -385,6 +390,13 @@ impl WeightedBatchIndex {
 
     pub fn labelling(&self) -> &Labelling {
         &self.work.lab
+    }
+
+    /// Resident label memory of the working buffer and every live
+    /// generation, each shared page and mirror cell counted once.
+    pub fn label_residency(&self) -> LabelResidency {
+        let live = self.store.live_generations();
+        LabelResidency::measure(std::iter::once(&self.work.lab).chain(live.iter().map(|g| &g.lab)))
     }
 
     /// Roll the writer back to the generation captured in `snap` and
@@ -503,19 +515,20 @@ impl WeightedBatchIndex {
         stats.affected_per_landmark = affected.iter().map(Vec::len).collect();
         stats.affected_total = stats.affected_per_landmark.iter().sum();
 
-        // Publish and recycle, exactly as the unweighted indexes do.
+        // Seal, publish and recycle, exactly as the unweighted indexes do.
+        stats.record_seal(self.work.lab.seal());
         engine::publish_pass(
             &self.store,
             &mut self.recycler,
             &mut self.work,
             WeightedSnapshot::placeholder(),
             old,
-            PassLog { effects, affected },
+            PassLog { effects },
             |buf, fresh, log| {
                 apply_effects(&mut buf.graph, &log.effects, None);
                 let graph = &buf.graph;
                 buf.view.absorb_from(graph, effect_endpoints(&log.effects));
-                engine::sync_affected(&fresh.lab, &mut buf.lab, &log.affected);
+                buf.lab.clone_from(&fresh.lab);
             },
         );
 

@@ -45,6 +45,12 @@
 //! of near-equal size, run on up to `threads` scoped threads that each
 //! own their waves' label and highway rows (no locks). Every `threads`
 //! value yields the same labelling.
+//!
+//! Labels are written through [`crate::LabelRow::set`] into the rows of
+//! [`Labelling::empty`], which all start on one shared blank page, so a
+//! page is allocated on its first label write and pages that never get
+//! a label stay shared. The builders seal the full query mirror before
+//! returning, so generation 0 is served without a seal.
 
 use crate::labelling::{LabelError, Labelling, RowPair};
 use batchhl_common::{Dist, Vertex};
@@ -174,7 +180,7 @@ impl MultiBfs {
                 } else {
                     flag[wi] |= fw;
                     for j in bits(nb & !flag[wi]) {
-                        rows[j].0[wi] = d;
+                        rows[j].0.set(w, d);
                     }
                 }
             }
@@ -211,6 +217,7 @@ pub fn build_labelling<A: AdjacencyView>(
     for wave in waves(&mut lab, 1) {
         bfs.run(g, &lm_index, wave);
     }
+    lab.seal();
     Ok(lab)
 }
 
@@ -245,6 +252,7 @@ pub fn build_labelling_parallel<A: AdjacencyView + Sync>(
             });
         }
     });
+    lab.seal();
     Ok(lab)
 }
 

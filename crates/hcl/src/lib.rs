@@ -17,13 +17,15 @@
 //!
 //! Modules:
 //!
-//! * [`labelling`] — storage (landmark-major label rows + highway
+//! * [`labelling`] — storage (landmark-major label rows in
+//!   copy-on-write pages shared between generations, plus the highway
 //!   matrix) and the `d^L` landmark-distance oracle,
 //! * [`landmarks`] — landmark-selection strategies,
 //! * [`packed`] — the packed vertex-major query mirror: per-vertex
 //!   label rows with ascending landmark ids and width-narrowed
-//!   distances (u8/u16 tiers, u32 escape), plus the width-narrowed
-//!   highway matrix,
+//!   distances (u8/u16 tiers, u32 escape) in shared sealed cells of 64
+//!   vertices, re-sealed per block as batches write them, plus the
+//!   width-narrowed highway matrix,
 //! * [`kernel`] — SIMD min-plus kernels (SSE2/AVX2 with runtime
 //!   detection, branch-free scalar default) serving the Eq. 3 scans,
 //! * [`build`] — construction by one multi-source flagged BFS per wave
@@ -52,7 +54,7 @@ pub mod store;
 
 pub use build::{build_labelling, build_labelling_parallel};
 pub use kernel::{active_kernel, Kernel};
-pub use labelling::{LabelError, Labelling, NO_LABEL};
+pub use labelling::{LabelError, LabelResidency, LabelRow, Labelling, SealStats, NO_LABEL};
 pub use landmarks::LandmarkSelection;
 pub use packed::{PackedHighway, PackedIndex, PackedLabels};
 pub use patch::{LabelPatch, PatchRow, PatchedLabels};

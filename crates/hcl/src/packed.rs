@@ -1,26 +1,33 @@
 //! Packed, cache-friendly query-side label layout.
 //!
-//! The canonical [`Labelling`] stores dense landmark-major rows — the
+//! The canonical [`Labelling`] stores paged landmark-major rows — the
 //! right substrate for batch repair, whose per-landmark passes own one
-//! contiguous row each. Queries have the opposite access pattern: they
-//! read *one vertex's* labels across all landmarks. This module holds
-//! the vertex-major mirror served to queries:
+//! row each. Queries have the opposite access pattern: they read *one
+//! vertex's* labels across all landmarks. This module holds the
+//! vertex-major mirror served to queries:
 //!
-//! * [`PackedLabels`] — a CSR over logical label entries: per vertex,
-//!   its landmark ids (`u16`, ascending) and its distances narrowed to
-//!   the smallest width tier the row needs (`u8`/`u16`, with a `u32`
-//!   escape). Most real-world hop distances fit a byte, so a typical
-//!   entry costs ~3 bytes instead of the dense layout's amortized
-//!   `4·|R| / avg|L(v)|`.
+//! * [`PackedLabels`] — per vertex, its landmark ids (`u16`,
+//!   ascending) and its distances narrowed to the smallest width tier
+//!   the row needs (`u8`/`u16`, with a `u32` escape). Most real-world
+//!   hop distances fit a byte, so a typical entry costs ~3 bytes
+//!   instead of the dense layout's amortized `4·|R| / avg|L(v)|`.
+//!   The rows are split into blocks of [`BLOCK_LEN`] vertices, each a
+//!   small CSR in its own immutable [`PackedBlock`] cell held by `Arc`.
 //! * [`PackedHighway`] — the `|R| × |R|` highway matrix narrowed to one
 //!   width tier for the whole matrix, rows contiguous (each row is the
 //!   cache block the `via` accumulation streams through), `T::MAX`
 //!   encoding the unreachable sentinel.
 //!
-//! A [`PackedIndex`] is built lazily from a `Labelling` on first query
-//! use (see [`Labelling::packed`]) and invalidated by every mutation,
-//! so repair never pays for it and published generations build it at
-//! most once.
+//! # Sealing and sharing
+//!
+//! A [`PackedIndex`] is sealed from a `Labelling` when the labelling is
+//! built or loaded, and again by the writer's publish step after every
+//! repair pass ([`Labelling::seal`]). A re-seal builds new cells only
+//! for the blocks the pass wrote; every other cell is the previous
+//! mirror's, shared by pointer. Cloning a mirror copies the cell table
+//! only. So consecutive generations, and the writer's working buffer,
+//! hold one copy of every unchanged block, and a commit costs a seal in
+//! proportion to the blocks holding entries it changed, not to `n`.
 //!
 //! # Width tiers and the clamped SIMD domain
 //!
@@ -37,6 +44,7 @@
 use crate::kernel::CLAMP_SAFE_MAX;
 use crate::labelling::{Labelling, NO_LABEL};
 use batchhl_common::{Dist, Vertex, INF};
+use std::sync::Arc;
 
 /// Distance width tier of one packed label row: bytes per distance,
 /// with `8` marking the exact-only `u32` escape (values above
@@ -156,22 +164,301 @@ impl PackedRow<'_> {
     }
 }
 
-/// Vertex-major CSR over the logical label entries (see module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedLabels {
-    r: usize,
-    /// `n + 1` offsets into `ids`; row `v` is `ids[offsets[v]..offsets[v+1]]`.
-    offsets: Vec<u32>,
-    /// Landmark indices, strictly ascending within each row.
+/// `log2` of the vertices per mirror block. Only entries whose value
+/// a batch changed dirty a block, and they are spread out: at n = 10⁶
+/// a 100-edit batch re-seals ≈ 140–300 blocks whether a block holds
+/// 32, 64 or 256 vertices. Re-sealing a block reads a 64-distance
+/// segment of every landmark row, and a lookup touches one cell;
+/// smaller blocks mean a longer cell table to walk and clone. 64 was
+/// the fastest commit of the three (see CHANGES.md).
+pub const BLOCK_SHIFT: u32 = 6;
+/// Vertices per mirror block.
+pub const BLOCK_LEN: usize = 1 << BLOCK_SHIFT;
+const BLOCK_MASK: usize = BLOCK_LEN - 1;
+
+/// One sealed mirror cell: the packed rows of the [`BLOCK_LEN`]
+/// vertices of one block (fewer in the last block). Cells are
+/// immutable once sealed and shared by `Arc` between every mirror whose
+/// block content is the same.
+///
+/// A cell is one allocation of `u64` words, so reading a row touches
+/// the row's metadata word and the cache lines of its ids and
+/// distances, nothing else:
+///
+/// ```text
+/// word 0        len | entries << 16
+/// word 1        distance payload bytes
+/// word 2 + k    row k: ids byte offset (28 bits) | distances byte
+///               offset (28 bits) | width tier (4 bits); row `len` holds
+///               the end of the ids region
+/// then bytes    u32 distances | u16 ids | u16 distances | u8 distances
+/// ```
+///
+/// Each tier's distances are contiguous and in row order, so a row's
+/// distances are one narrow slice, as are its ids (ascending).
+#[derive(Debug, PartialEq, Eq)]
+pub struct PackedBlock {
+    words: Arc<[u64]>,
+}
+
+impl Clone for PackedBlock {
+    fn clone(&self) -> Self {
+        PackedBlock {
+            words: Arc::clone(&self.words),
+        }
+    }
+
+    /// Leaves a cell that already is `source`'s untouched.
+    fn clone_from(&mut self, source: &Self) {
+        if !self.ptr_eq(source) {
+            self.words = Arc::clone(&source.words);
+        }
+    }
+}
+
+const META_WORDS: usize = 2;
+const OFF_BITS: u32 = 28;
+const OFF_MASK: u64 = (1 << OFF_BITS) - 1;
+// The largest cell (every vertex labelled by 65 534 landmarks with 4-byte
+// distances) must keep its byte offsets inside `OFF_BITS`.
+const _: () = assert!(((META_WORDS + BLOCK_LEN + 1) * 8 + BLOCK_LEN * 65_534 * 6) < 1 << OFF_BITS);
+
+/// Element types a cell's byte regions are read as.
+trait Plain: Copy {}
+impl Plain for u8 {}
+impl Plain for u16 {}
+impl Plain for u32 {}
+
+/// `len` values of `T` starting `byte` bytes into `words`.
+#[inline]
+fn view<T: Plain>(words: &[u64], byte: usize, len: usize) -> &[T] {
+    let size = std::mem::size_of::<T>();
+    assert!(byte.is_multiple_of(size) && byte + len * size <= words.len() * 8);
+    // SAFETY: the range is in bounds (checked above) and aligned for
+    // `T` (the base is 8-aligned and `byte` is a multiple of
+    // `size_of::<T>() == align_of::<T>()` for u8/u16/u32), every bit
+    // pattern is a valid `T`, and the slice borrows `words`.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>().add(byte).cast::<T>(), len) }
+}
+
+/// Copy `src` into `words` at `byte` bytes (alignment as for [`view`]).
+fn put<T: Plain>(words: &mut [u64], byte: usize, src: &[T]) {
+    let size = std::mem::size_of::<T>();
+    assert!(byte.is_multiple_of(size) && byte + std::mem::size_of_val(src) <= words.len() * 8);
+    // SAFETY: as in `view`; the exclusive borrow of `words` covers the
+    // whole destination range.
+    let dst = unsafe {
+        std::slice::from_raw_parts_mut(
+            words.as_mut_ptr().cast::<u8>().add(byte).cast::<T>(),
+            src.len(),
+        )
+    };
+    dst.copy_from_slice(src);
+}
+
+impl PackedBlock {
+    /// Seal vertices `lo..hi` of `lab` (one block). Two branch-free
+    /// passes over the block's segment of every landmark row: count +
+    /// per-row max, then scatter each present entry to its row's next
+    /// slot (absent ones to a spare slot past the end). Ids come out
+    /// ascending per row because landmarks are visited in order; each
+    /// row's distances are then narrowed to its tier. Label presence is
+    /// close to a coin flip, so a branch per entry mispredicts often:
+    /// at n = 10⁶ the masked select cut the full seal from ≈ 230 ms to
+    /// ≈ 100 ms.
+    fn seal<'a>(lab: &'a Labelling, lo: usize, hi: usize, scratch: &mut SealScratch<'a>) -> Self {
+        let len = hi - lo;
+        let SealScratch {
+            segments,
+            ids,
+            dists,
+            d8,
+            d16,
+            d32,
+        } = scratch;
+        segments.clear();
+        segments.extend((0..lab.num_landmarks()).map(|i| lab.label_row(i).segment(lo, hi)));
+        let mut counts = [0u32; BLOCK_LEN];
+        let mut row_max = [0 as Dist; BLOCK_LEN];
+        for seg in segments.iter() {
+            for ((c, m), &d) in counts.iter_mut().zip(row_max.iter_mut()).zip(*seg) {
+                let present = u32::from(d != NO_LABEL);
+                *c += present;
+                *m = (*m).max(d & present.wrapping_neg());
+            }
+        }
+        let mut offsets = [0u32; BLOCK_LEN + 1];
+        for k in 0..len {
+            offsets[k + 1] = offsets[k] + counts[k];
+        }
+        let entries = offsets[len] as usize;
+        let spare = entries as u32;
+        ids.clear();
+        ids.resize(entries + 1, 0);
+        dists.clear();
+        dists.resize(entries + 1, 0);
+        let mut fill = [0u32; BLOCK_LEN];
+        fill.copy_from_slice(&offsets[..BLOCK_LEN]);
+        let (id_slots, dist_slots) = (&mut ids[..], &mut dists[..]);
+        for (i, seg) in segments.iter().enumerate() {
+            for (f, &d) in fill.iter_mut().zip(*seg) {
+                let present = d != NO_LABEL;
+                let keep = u32::from(present).wrapping_neg();
+                let at = ((*f & keep) | (spare & !keep)) as usize;
+                id_slots[at] = i as u16;
+                dist_slots[at] = d;
+                *f += u32::from(present);
+            }
+        }
+        ids.truncate(entries);
+        d8.clear();
+        d16.clear();
+        d32.clear();
+        // Per row: (tier, index into the tier's distances).
+        let mut meta = [(0u8, 0usize); BLOCK_LEN];
+        for (k, slot) in meta[..len].iter_mut().enumerate() {
+            let row = &dists[offsets[k] as usize..offsets[k + 1] as usize];
+            let tier = tier_for_max(row_max[k]);
+            *slot = match tier {
+                TIER_U8 => {
+                    d8.extend(row.iter().map(|&d| d as u8));
+                    (tier, d8.len() - row.len())
+                }
+                TIER_U16 => {
+                    d16.extend(row.iter().map(|&d| d as u16));
+                    (tier, d16.len() - row.len())
+                }
+                _ => {
+                    d32.extend_from_slice(row);
+                    (tier, d32.len() - row.len())
+                }
+            };
+        }
+
+        let at32 = (META_WORDS + len + 1) * 8;
+        let at_ids = at32 + 4 * d32.len();
+        let at16 = at_ids + 2 * ids.len();
+        let at8 = at16 + 2 * d16.len();
+        let mut words = vec![0u64; (at8 + d8.len()).div_ceil(8)];
+        words[0] = len as u64 | (ids.len() as u64) << 16;
+        words[1] = (d8.len() + 2 * d16.len() + 4 * d32.len()) as u64;
+        for (k, &(tier, di)) in meta[..len].iter().enumerate() {
+            let ids_at = at_ids + 2 * offsets[k] as usize;
+            let dists_at = match tier {
+                TIER_U8 => at8 + di,
+                TIER_U16 => at16 + 2 * di,
+                _ => at32 + 4 * di,
+            };
+            words[META_WORDS + k] =
+                ids_at as u64 | (dists_at as u64) << OFF_BITS | u64::from(tier) << (2 * OFF_BITS);
+        }
+        words[META_WORDS + len] = (at_ids + 2 * entries) as u64;
+        put(&mut words, at32, d32);
+        put(&mut words, at_ids, ids);
+        put(&mut words, at16, d16);
+        put(&mut words, at8, d8);
+        PackedBlock {
+            words: words.into(),
+        }
+    }
+
+    /// Vertices in the block.
+    #[inline]
+    pub fn num_vertices(&self) -> usize {
+        (self.words[0] & 0xFFFF) as usize
+    }
+
+    /// Logical label entries in the block.
+    #[inline]
+    pub fn num_entries(&self) -> usize {
+        (self.words[0] >> 16) as usize
+    }
+
+    /// Bytes of narrowed distance payload.
+    pub fn dist_bytes(&self) -> usize {
+        self.words[1] as usize
+    }
+
+    /// Resident bytes of the cell (one allocation).
+    pub fn resident_bytes(&self) -> usize {
+        self.words.len() * 8 + 16
+    }
+
+    /// Whether `self` and `other` are the same shared cell.
+    #[inline]
+    pub fn ptr_eq(&self, other: &PackedBlock) -> bool {
+        Arc::ptr_eq(&self.words, &other.words)
+    }
+
+    #[inline]
+    fn tier(&self, k: usize) -> u8 {
+        (self.words[META_WORDS + k] >> (2 * OFF_BITS)) as u8
+    }
+
+    #[inline]
+    fn row(&self, k: usize) -> PackedRow<'_> {
+        let meta = self.words[META_WORDS + k];
+        let ids_at = (meta & OFF_MASK) as usize;
+        let len = ((self.words[META_WORDS + k + 1] & OFF_MASK) as usize - ids_at) / 2;
+        let dists_at = ((meta >> OFF_BITS) & OFF_MASK) as usize;
+        let tier = (meta >> (2 * OFF_BITS)) as u8;
+        let w = &*self.words;
+        let dists = match tier {
+            TIER_U8 => NarrowSlice::U8(view(w, dists_at, len)),
+            TIER_U16 => NarrowSlice::U16(view(w, dists_at, len)),
+            _ => NarrowSlice::U32(view(w, dists_at, len)),
+        };
+        PackedRow {
+            ids: view(w, ids_at, len),
+            dists,
+            clamp_safe: tier != TIER_U32_EXACT,
+        }
+    }
+}
+
+/// Buffers one seal reuses across the blocks it builds.
+#[derive(Default)]
+struct SealScratch<'a> {
+    segments: Vec<&'a [Dist]>,
     ids: Vec<u16>,
-    /// Per-row width tier ([`TIER_U8`] | [`TIER_U16`] | [`TIER_U32`] |
-    /// [`TIER_U32_EXACT`]).
-    tiers: Vec<u8>,
-    /// Per-row start index into the tier's distance blob.
-    dist_start: Vec<u32>,
+    dists: Vec<Dist>,
     d8: Vec<u8>,
     d16: Vec<u16>,
     d32: Vec<u32>,
+}
+
+/// Vertex-major packed rows over the logical label entries, one shared
+/// [`PackedBlock`] cell per block of [`BLOCK_LEN`] vertices (see
+/// module docs).
+#[derive(Debug, PartialEq, Eq)]
+pub struct PackedLabels {
+    r: usize,
+    n: usize,
+    blocks: Vec<PackedBlock>,
+    entries: usize,
+    dist_bytes: usize,
+}
+
+impl Clone for PackedLabels {
+    fn clone(&self) -> Self {
+        PackedLabels {
+            r: self.r,
+            n: self.n,
+            blocks: self.blocks.clone(),
+            entries: self.entries,
+            dist_bytes: self.dist_bytes,
+        }
+    }
+
+    /// Cell by cell (see [`PackedBlock::clone_from`]): a mirror that
+    /// shares most cells with `source` only swaps the ones that differ.
+    fn clone_from(&mut self, source: &Self) {
+        self.r = source.r;
+        self.n = source.n;
+        self.blocks.clone_from(&source.blocks);
+        self.entries = source.entries;
+        self.dist_bytes = source.dist_bytes;
+    }
 }
 
 /// Pick the width tier for one row's maximum finite distance. The
@@ -194,85 +481,66 @@ fn tier_for_max(max: Dist) -> u8 {
 }
 
 impl PackedLabels {
-    /// Transpose the dense landmark-major rows of `lab` into the
-    /// vertex-major packed layout. Two passes over the `r × n` dense
-    /// data: count + per-row max (tier selection), then fill — ids come
-    /// out ascending per row because landmarks are visited in order.
+    /// Seal every block of `lab` afresh.
     pub fn build(lab: &Labelling) -> Self {
+        Self::reseal(lab, None).0
+    }
+
+    /// Seal `lab`, taking from `carry` (the mirror `lab` was last
+    /// sealed with) every cell whose block no write has touched since,
+    /// and sealing the rest. Returns the mirror and the number of
+    /// blocks sealed.
+    pub(crate) fn reseal(lab: &Labelling, carry: Option<PackedLabels>) -> (Self, usize) {
         let n = lab.num_vertices();
-        let r = lab.num_landmarks();
-        let mut counts = vec![0u32; n];
-        let mut row_max = vec![0 as Dist; n];
-        for i in 0..r {
-            for (v, &d) in lab.label_row(i).iter().enumerate() {
-                if d != NO_LABEL {
-                    counts[v] += 1;
-                    if d > row_max[v] {
-                        row_max[v] = d;
+        let dirty = lab.dirty_blocks();
+        let mut resealed = 0;
+        let mut scratch = SealScratch::default();
+        // Clean cells move from the carry into the new mirror. A cell
+        // is reused only if its block also kept its extent (growth
+        // extends the last block), judged from the carry's vertex count
+        // so clean cells are never read.
+        let (carry_n, mut entries, mut dist_bytes) = carry
+            .as_ref()
+            .map_or((0, 0, 0), |c| (c.n, c.entries, c.dist_bytes));
+        let mut old = carry.map(|c| c.blocks.into_iter());
+        let mut blocks = Vec::with_capacity(n.div_ceil(BLOCK_LEN));
+        for b in 0..n.div_ceil(BLOCK_LEN) {
+            let (lo, hi) = (b * BLOCK_LEN, ((b + 1) * BLOCK_LEN).min(n));
+            let clean = dirty[b / 64] & (1 << (b % 64)) == 0;
+            let same_extent = ((b + 1) * BLOCK_LEN).min(carry_n) == hi;
+            let cell = match old.as_mut().and_then(Iterator::next) {
+                Some(cell) if clean && same_extent => cell,
+                stale => {
+                    if let Some(stale) = stale {
+                        entries -= stale.num_entries();
+                        dist_bytes -= stale.dist_bytes();
                     }
+                    resealed += 1;
+                    let cell = PackedBlock::seal(lab, lo, hi, &mut scratch);
+                    entries += cell.num_entries();
+                    dist_bytes += cell.dist_bytes();
+                    cell
                 }
-            }
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut total64 = 0u64;
-        offsets.push(0);
-        for &c in &counts {
-            total64 += c as u64;
-            assert!(
-                total64 <= u32::MAX as u64,
-                "packed label CSR exceeds u32 offset space"
-            );
-            offsets.push(total64 as u32);
-        }
-        let total = total64 as u32;
-        let tiers: Vec<u8> = (0..n).map(|v| tier_for_max(row_max[v])).collect();
-        let mut dist_start = vec![0u32; n];
-        let (mut n8, mut n16, mut n32) = (0u32, 0u32, 0u32);
-        for v in 0..n {
-            let slot = match tiers[v] {
-                TIER_U8 => &mut n8,
-                TIER_U16 => &mut n16,
-                _ => &mut n32,
             };
-            dist_start[v] = *slot;
-            *slot += counts[v];
+            blocks.push(cell);
         }
-        let mut ids = vec![0u16; total as usize];
-        let mut d8 = vec![0u8; n8 as usize];
-        let mut d16 = vec![0u16; n16 as usize];
-        let mut d32 = vec![0u32; n32 as usize];
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for i in 0..r {
-            for (v, &d) in lab.label_row(i).iter().enumerate() {
-                if d == NO_LABEL {
-                    continue;
-                }
-                let k = cursor[v];
-                cursor[v] += 1;
-                ids[k as usize] = i as u16;
-                let di = (dist_start[v] + (k - offsets[v])) as usize;
-                match tiers[v] {
-                    TIER_U8 => d8[di] = d as u8,
-                    TIER_U16 => d16[di] = d as u16,
-                    _ => d32[di] = d,
-                }
-            }
+        for stale in old.into_iter().flatten() {
+            entries -= stale.num_entries();
+            dist_bytes -= stale.dist_bytes();
         }
-        PackedLabels {
-            r,
-            offsets,
-            ids,
-            tiers,
-            dist_start,
-            d8,
-            d16,
-            d32,
-        }
+        let mirror = PackedLabels {
+            r: lab.num_landmarks(),
+            n,
+            blocks,
+            entries,
+            dist_bytes,
+        };
+        (mirror, resealed)
     }
 
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.tiers.len()
+        self.n
     }
 
     #[inline]
@@ -283,48 +551,44 @@ impl PackedLabels {
     /// Total logical label entries, `Σ_v |L(v)|`.
     #[inline]
     pub fn num_entries(&self) -> usize {
-        self.ids.len()
+        self.entries
+    }
+
+    /// The sealed cells, block by block (sharing checks and residency
+    /// counts).
+    #[inline]
+    pub fn blocks(&self) -> &[PackedBlock] {
+        &self.blocks
     }
 
     /// Width tier of row `v`.
     #[inline]
     pub fn row_tier(&self, v: Vertex) -> u8 {
-        self.tiers[v as usize]
+        let v = v as usize;
+        self.blocks[v >> BLOCK_SHIFT].tier(v & BLOCK_MASK)
     }
 
     /// The packed label row of `v`.
     #[inline]
     pub fn row(&self, v: Vertex) -> PackedRow<'_> {
         let v = v as usize;
-        let lo = self.offsets[v] as usize;
-        let hi = self.offsets[v + 1] as usize;
-        let len = hi - lo;
-        let ds = self.dist_start[v] as usize;
-        let tier = self.tiers[v];
-        let dists = match tier {
-            TIER_U8 => NarrowSlice::U8(&self.d8[ds..ds + len]),
-            TIER_U16 => NarrowSlice::U16(&self.d16[ds..ds + len]),
-            _ => NarrowSlice::U32(&self.d32[ds..ds + len]),
-        };
-        PackedRow {
-            ids: &self.ids[lo..hi],
-            dists,
-            clamp_safe: tier != TIER_U32_EXACT,
-        }
+        self.blocks[v >> BLOCK_SHIFT].row(v & BLOCK_MASK)
     }
 
     /// Bytes of narrowed distance payload (the serialized dist blob).
     pub fn dist_bytes(&self) -> usize {
-        self.d8.len() + 2 * self.d16.len() + 4 * self.d32.len()
+        self.dist_bytes
     }
 
-    /// Resident bytes of the packed structure (payload + CSR overhead).
+    /// Resident bytes of the packed structure (payload + CSR overhead
+    /// of every cell, plus the cell table).
     pub fn resident_bytes(&self) -> usize {
-        self.offsets.len() * 4
-            + self.ids.len() * 2
-            + self.tiers.len()
-            + self.dist_start.len() * 4
-            + self.dist_bytes()
+        self.blocks.len() * 16
+            + self
+                .blocks
+                .iter()
+                .map(|c| c.resident_bytes())
+                .sum::<usize>()
     }
 }
 
@@ -461,18 +725,43 @@ impl PackedHighway {
 }
 
 /// The packed query-side mirror of one `Labelling` generation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct PackedIndex {
     pub labels: PackedLabels,
     pub highway: PackedHighway,
 }
 
-impl PackedIndex {
-    pub fn build(lab: &Labelling) -> Self {
+impl Clone for PackedIndex {
+    fn clone(&self) -> Self {
         PackedIndex {
-            labels: PackedLabels::build(lab),
-            highway: PackedHighway::build(lab),
+            labels: self.labels.clone(),
+            highway: self.highway.clone(),
         }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.labels.clone_from(&source.labels);
+        self.highway.clone_from(&source.highway);
+    }
+}
+
+impl PackedIndex {
+    /// Seal every block of `lab` afresh.
+    pub fn build(lab: &Labelling) -> Self {
+        Self::reseal(lab, None).0
+    }
+
+    /// Seal `lab`, sharing every clean cell of `carry` (see
+    /// [`PackedLabels`]); the highway matrix is narrowed again in full
+    /// (`|R|²` entries). Returns the mirror and the number of blocks
+    /// sealed.
+    pub(crate) fn reseal(lab: &Labelling, carry: Option<PackedIndex>) -> (Self, usize) {
+        let (labels, resealed) = PackedLabels::reseal(lab, carry.map(|c| c.labels));
+        let mirror = PackedIndex {
+            labels,
+            highway: PackedHighway::build(lab),
+        };
+        (mirror, resealed)
     }
 
     /// Total resident bytes (labels + highway).

@@ -1,10 +1,14 @@
 //! Scoped label patches: the labelling half of a speculative
 //! *what-if* session.
 //!
-//! A committed batch repairs the shared labelling in place; a what-if
-//! session must not. Instead the repair kernels run into detached
-//! copies of the affected landmark rows, collected in a [`LabelPatch`]
-//! — a small hash-indexed side table keyed by landmark index. A
+//! A committed batch repairs the writer's working labelling; a what-if
+//! session must not touch any shared state. Instead the repair kernels
+//! run into forks of the base landmark rows ([`LabelRow::fork`]): a
+//! fork shares every page with the base row and copies a page only when
+//! the repair writes into it, so a patch holds just the pages the
+//! hypothetical batch changed. The changed rows are collected in a
+//! [`LabelPatch`] — a small hash-indexed side table keyed by landmark
+//! index. A
 //! [`PatchedLabels`] view then presents "patch row if present, else
 //! base row" to the query layer, so the pinned snapshot's labelling is
 //! never touched and any number of hypotheticals can share it.
@@ -25,15 +29,16 @@
 
 use batchhl_common::{Dist, FxHashMap, Vertex};
 
-use crate::labelling::{Labelling, NO_LABEL};
+use crate::labelling::{LabelRow, Labelling};
 use crate::query::LabelView;
 
 /// One landmark's repaired rows: the full label row over the
 /// (possibly grown) vertex range, plus that landmark's highway row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatchRow {
-    /// Repaired label row of the landmark (`NO_LABEL` where absent).
-    pub label: Box<[Dist]>,
+    /// Repaired label row of the landmark (`NO_LABEL` where absent);
+    /// it shares every page the repair did not write with the base.
+    pub label: LabelRow,
     /// Repaired highway row `δ_H(r_i, ·)` of the landmark.
     pub highway: Box<[Dist]>,
 }
@@ -138,12 +143,9 @@ impl LabelView for PatchedLabels<'_> {
 
     #[inline]
     fn label(&self, i: usize, v: Vertex) -> Dist {
-        if let Some(row) = self.patch.row(i) {
-            row.label.get(v as usize).copied().unwrap_or(NO_LABEL)
-        } else if (v as usize) < self.base.num_vertices() {
-            self.base.label(i, v)
-        } else {
-            NO_LABEL
+        match self.patch.row(i) {
+            Some(row) => row.label.get_or_absent(v),
+            None => self.base.label_row(i).get_or_absent(v),
         }
     }
 
@@ -168,6 +170,7 @@ impl LabelView for PatchedLabels<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::labelling::LabelRow;
     use crate::query::SourcePlan;
 
     fn labelled_path(n: usize) -> Labelling {
@@ -209,8 +212,12 @@ mod tests {
         let r = base.num_landmarks();
         let n = 6; // hypothetical batch grew the graph by two vertices
         let mut patch = LabelPatch::new(n);
+        let mut label = LabelRow::absent(n);
+        for v in 0..n as Vertex {
+            label.set(v, 7);
+        }
         let row = PatchRow {
-            label: vec![7; n].into_boxed_slice(),
+            label,
             highway: (0..r).map(|j| base.highway(0, j)).collect(),
         };
         patch.insert_row(0, row);
@@ -222,7 +229,7 @@ mod tests {
         if r > 1 {
             assert_eq!(pl.label(1, 3), base.label(1, 3));
             // Grown vertices read NO_LABEL from unpatched rows…
-            assert_eq!(pl.label(1, 5), NO_LABEL);
+            assert_eq!(pl.label(1, 5), crate::NO_LABEL);
         }
         // …and never register as landmarks.
         assert_eq!(pl.landmark_index(5), None);

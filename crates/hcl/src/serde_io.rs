@@ -35,10 +35,17 @@
 //! labelling is assembled only *after* the bytes are in hand, so a
 //! corrupt `u64 n` fails fast with [`SnapshotError::Truncated`] rather
 //! than attempting a multi-GB up-front allocation. Both magics decode
-//! into the dense canonical rows; the packed query mirror is resealed
-//! lazily on first use, keeping the trusted surface minimal.
+//! straight into the labelling's copy-on-write pages: every row starts
+//! on the shared blank page and a page is allocated only when a label
+//! lands in it, so memory is one 4 KiB page per distinct (landmark,
+//! page) pair the stream's entries fall on, not the `|R| × |V|` shape
+//! its header claims. Entries that crowd into few pages cost little;
+//! entries spread one per page cost up to a page per entry, and a
+//! `BHL3` entry takes at least 3 stream bytes. The loaded labelling is
+//! sealed (its packed mirror rebuilt from the pages, never trusted from
+//! the file), keeping the trusted surface minimal.
 
-use crate::labelling::{LabelError, Labelling, NO_LABEL};
+use crate::labelling::{LabelError, LabelRow, Labelling, PAGE_LEN};
 use crate::packed::{tier_width, NarrowSlice, TIER_U16, TIER_U32, TIER_U32_EXACT, TIER_U8};
 use batchhl_common::{binio, Dist, Vertex, INF};
 use std::fmt;
@@ -229,7 +236,8 @@ pub fn read_labelling<R: Read>(reader: R) -> Result<Labelling, SnapshotError> {
     }
 }
 
-/// Legacy `BHL1` body: dense highway + dense label rows.
+/// Legacy `BHL1` body: dense highway + dense label rows, read one page
+/// at a time into the paged rows.
 fn read_dense_body<R: Read>(
     inp: &mut R,
     n: usize,
@@ -239,16 +247,24 @@ fn read_dense_body<R: Read>(
     // Bulk sections are read chunk-by-chunk: allocation tracks the data
     // actually present in the stream, never the header's claim.
     let highway = read_dists(inp, r * r, "highway matrix")?;
-    let mut rows = Vec::with_capacity(r.min(binio::CHUNK_ENTRIES));
+    let mut rows = Vec::new();
     for _ in 0..r {
-        rows.push(read_dists(inp, n, "label row")?.into_boxed_slice());
+        let mut row = LabelRow::absent(0);
+        for lo in (0..n).step_by(PAGE_LEN) {
+            let page = read_dists(inp, PAGE_LEN.min(n - lo), "label row")?;
+            row.grow(lo + page.len());
+            for (v, &d) in (lo..).zip(&page) {
+                row.set(v as Vertex, d);
+            }
+        }
+        rows.push(row);
     }
     Ok(Labelling::from_parts(n, landmarks, rows, highway)?)
 }
 
-/// Packed `BHL3` body: narrowed highway + CSR label rows, decoded back
-/// into the dense canonical representation (the packed query mirror is
-/// resealed lazily from it).
+/// Packed `BHL3` body: narrowed highway + CSR label rows, decoded into
+/// the paged canonical rows (the packed query mirror is sealed afresh
+/// from them).
 fn read_packed_body<R: Read>(
     inp: &mut R,
     n: usize,
@@ -284,22 +300,15 @@ fn read_packed_body<R: Read>(
         }
     }
     let ids = read_u16s(inp, entries as usize, "label ids")?;
-    let mut rows: Vec<Box<[Dist]>> = (0..r)
-        .map(|_| vec![NO_LABEL; n].into_boxed_slice())
-        .collect();
+    // Every section is in hand and validated before the first page is
+    // allocated: a stream that ends early costs only what it held.
+    let mut dists = Vec::new();
     let mut cursor = 0usize;
     for (v, &c) in counts.iter().enumerate() {
         let row_ids = &ids[cursor..cursor + c as usize];
         cursor += c as usize;
-        let dists = read_narrow(
-            inp,
-            c as usize,
-            tier_width(tiers[v]) as u8,
-            false,
-            "label row",
-        )?;
         let mut prev: Option<u16> = None;
-        for (&i, &d) in row_ids.iter().zip(&dists) {
+        for &i in row_ids {
             if i as usize >= r {
                 return Err(SnapshotError::Header {
                     reason: format!("vertex {v} labels landmark {i} of {r}"),
@@ -311,7 +320,16 @@ fn read_packed_body<R: Read>(
                 });
             }
             prev = Some(i);
-            rows[i as usize][v] = d;
+        }
+        let width = tier_width(tiers[v]) as u8;
+        dists.extend(read_narrow(inp, c as usize, width, false, "label row")?);
+    }
+    let mut rows: Vec<LabelRow> = (0..r).map(|_| LabelRow::absent(n)).collect();
+    let mut entry = 0usize;
+    for (v, &c) in counts.iter().enumerate() {
+        for _ in 0..c {
+            rows[ids[entry] as usize].set(v as Vertex, dists[entry]);
+            entry += 1;
         }
     }
     Ok(Labelling::from_parts(n, landmarks, rows, highway)?)
@@ -476,7 +494,7 @@ mod tests {
             }
         }
         for i in 0..lab.num_landmarks() {
-            for &d in lab.label_row(i) {
+            for d in lab.label_row(i).iter() {
                 out.extend_from_slice(&d.to_le_bytes());
             }
         }

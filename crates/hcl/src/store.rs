@@ -18,6 +18,16 @@
 //!   the previous one, so a writer that is the last holder can recycle
 //!   the old buffers (`Arc::try_unwrap`) instead of reallocating — the
 //!   Γ → Γ′ double buffer of Algorithm 1 expressed through ownership.
+//! * [`LabelStore::live_generations`] lists every published generation
+//!   still alive (current, pinned by readers, or kept by the writer),
+//!   for memory accounting.
+//!
+//! Generations are cheap to keep around because their labellings share
+//! storage: labels live in copy-on-write pages and the query mirror in
+//! shared sealed cells ([`crate::labelling`], [`crate::packed`]), so
+//! two generations differ only in the pages and mirror blocks the
+//! batches between them wrote. The writer seals each generation's
+//! mirror before publishing it; readers never seal.
 //!
 //! The store is generic over the snapshot payload `S`: the undirected
 //! index stores `(graph, labelling, CSR view)`, the directed index
@@ -31,7 +41,7 @@
 //! compaction swaps in a fresh one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// A snapshot payload together with the generation number it was
 /// published as. Version numbers start at 0 (the built index) and
@@ -74,6 +84,9 @@ struct Shared<S> {
     /// Mirror of `current`'s version, readable without the lock.
     version: AtomicU64,
     current: Mutex<Arc<Versioned<S>>>,
+    /// Every published generation that may still be alive (pruned at
+    /// each publish), for memory accounting across generations.
+    published: Mutex<Vec<Weak<Versioned<S>>>>,
 }
 
 /// Lock `current`, recovering from poisoning: the guarded state is a
@@ -83,10 +96,11 @@ struct Shared<S> {
 /// panic in every reader — exactly the cascade the generation design
 /// exists to prevent.
 fn lock_current<S>(shared: &Shared<S>) -> std::sync::MutexGuard<'_, Arc<Versioned<S>>> {
-    shared
-        .current
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+    lock(&shared.current)
+}
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Shared, versioned home of the current generation.
@@ -109,13 +123,15 @@ impl<S> Clone for LabelStore<S> {
 impl<S> LabelStore<S> {
     /// Create a store whose generation 0 is `initial`.
     pub fn new(initial: S) -> Self {
+        let first = Arc::new(Versioned {
+            version: 0,
+            value: initial,
+        });
         LabelStore {
             shared: Arc::new(Shared {
                 version: AtomicU64::new(0),
-                current: Mutex::new(Arc::new(Versioned {
-                    version: 0,
-                    value: initial,
-                })),
+                published: Mutex::new(vec![Arc::downgrade(&first)]),
+                current: Mutex::new(first),
             }),
         }
     }
@@ -146,7 +162,21 @@ impl<S> LabelStore<S> {
         // Publish the version only after the swap: a reader that sees
         // the new version is guaranteed to find the new generation.
         self.shared.version.store(version, Ordering::Release);
+        drop(cur);
+        let mut published = lock(&self.shared.published);
+        published.retain(|g| g.strong_count() > 0);
+        published.push(Arc::downgrade(&fresh));
         (fresh, prev)
+    }
+
+    /// Every published generation still alive: the current one, the
+    /// ones readers pin, and retired ones a writer keeps for reuse.
+    /// The returned handles pin them until dropped.
+    pub fn live_generations(&self) -> Vec<Arc<Versioned<S>>> {
+        lock(&self.shared.published)
+            .iter()
+            .filter_map(Weak::upgrade)
+            .collect()
     }
 
     /// A self-refreshing read handle over this store.
@@ -240,6 +270,28 @@ mod tests {
         let (_, prev) = store.publish(vec![7]);
         assert!(Arc::try_unwrap(prev).is_err());
         drop(pinned);
+    }
+
+    #[test]
+    fn live_generations_are_the_ones_still_held() {
+        let store = LabelStore::new(0u8);
+        let pinned = store.snapshot();
+        store.publish(1);
+        store.publish(2);
+        let live: Vec<u8> = store
+            .live_generations()
+            .iter()
+            .map(|g| *g.value())
+            .collect();
+        assert_eq!(live, vec![0, 2], "generation 1 was dropped, 0 is pinned");
+        drop(pinned);
+        store.publish(3);
+        let live: Vec<u8> = store
+            .live_generations()
+            .iter()
+            .map(|g| *g.value())
+            .collect();
+        assert_eq!(live, vec![3]);
     }
 
     #[test]

@@ -13,6 +13,10 @@ use std::fmt;
 /// Nesting depth bound for hostile input ("[[[[…").
 const MAX_DEPTH: usize = 32;
 
+/// The largest integer below which every integer is exact in `f64`,
+/// `2^53 − 1` (the range session ids are masked to).
+const MAX_EXACT: u64 = (1 << 53) - 1;
+
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -37,7 +41,9 @@ impl Json {
 
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 9e15 => Some(*x as u64),
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= MAX_EXACT as f64 => {
+                Some(*x as u64)
+            }
             _ => None,
         }
     }
@@ -73,10 +79,7 @@ impl Json {
     /// Lossless integer constructor (panics above 2^53 — protocol
     /// integers are vertex ids and sequence numbers, far below it).
     pub fn u64(x: u64) -> Json {
-        assert!(
-            x <= 9e15 as u64,
-            "integer {x} does not fit losslessly in f64"
-        );
+        assert!(x <= MAX_EXACT, "integer {x} does not fit losslessly in f64");
         Json::Num(x as f64)
     }
 
@@ -97,7 +100,7 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Num(x) => {
-                if x.fract() == 0.0 && x.abs() <= 9e15 {
+                if x.fract() == 0.0 && x.abs() <= MAX_EXACT as f64 {
                     out.push_str(&format!("{}", *x as i64));
                 } else {
                     out.push_str(&format!("{x}"));
@@ -437,5 +440,10 @@ mod tests {
         assert_eq!(Json::Num(1.5).render(), "1.5");
         assert_eq!(parse("-3").unwrap().as_f64(), Some(-3.0));
         assert_eq!(parse("-3").unwrap().as_u64(), None);
+        // Every masked 53-bit session id survives the wire.
+        let top = Json::u64(MAX_EXACT).render();
+        assert_eq!(top, "9007199254740991");
+        assert_eq!(parse(&top).unwrap().as_u64(), Some(MAX_EXACT));
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), None);
     }
 }

@@ -64,7 +64,7 @@ pub use batchhl_core::backend::{
 // Configuration vocabulary used by the builder.
 pub use batchhl_core::index::{Algorithm, CompactionPolicy};
 pub use batchhl_core::UpdateStats;
-pub use batchhl_hcl::LandmarkSelection;
+pub use batchhl_hcl::{LabelResidency, LandmarkSelection};
 
 // Base vocabulary: vertex ids, distances, weights.
 pub use batchhl_common::{Dist, Vertex, INF};

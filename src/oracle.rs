@@ -55,7 +55,7 @@ use batchhl_core::stats::UpdateStats;
 use batchhl_core::wal::{read_wal_from, recover_wal, TxnId, WalRecord, WalTail, WalWriter};
 use batchhl_core::whatif::WhatIfQuery;
 use batchhl_graph::weighted::Weight;
-use batchhl_hcl::LandmarkSelection;
+use batchhl_hcl::{LabelResidency, LandmarkSelection};
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -74,6 +74,14 @@ struct FacadeMetrics {
     commit_latency: Arc<metrics::Histogram>,
     commits: Arc<metrics::Counter>,
     commit_failures: Arc<metrics::Counter>,
+    /// Label pages the last applied commit copied on write.
+    pages_copied: Arc<metrics::Gauge>,
+    /// Query-mirror blocks the last applied commit re-sealed.
+    blocks_resealed: Arc<metrics::Gauge>,
+    /// Resident label bytes across live generations, shared pages
+    /// counted once (set after each applied commit and by
+    /// [`DistanceOracle::label_residency`]).
+    resident_bytes: Arc<metrics::Gauge>,
 }
 
 fn facade_metrics() -> &'static FacadeMetrics {
@@ -85,6 +93,9 @@ fn facade_metrics() -> &'static FacadeMetrics {
             commit_latency: r.histogram("batchhl_oracle_commit_latency_us"),
             commits: r.counter("batchhl_oracle_commits_total"),
             commit_failures: r.counter("batchhl_oracle_commit_failures_total"),
+            pages_copied: r.gauge("batchhl_oracle_label_pages_copied"),
+            blocks_resealed: r.gauge("batchhl_oracle_label_blocks_resealed"),
+            resident_bytes: r.gauge("batchhl_oracle_label_resident_bytes"),
         }
     })
 }
@@ -332,6 +343,21 @@ impl DistanceOracle {
     /// Logical labelling size in bytes.
     pub fn label_size_bytes(&self) -> usize {
         self.backend.label_size_bytes()
+    }
+
+    /// Resident label memory across the writer's buffer and every live
+    /// generation (the published one, those readers pin, and retired
+    /// ones kept for reuse), with every page and mirror cell that
+    /// generations share counted once. Also sets the
+    /// `batchhl_oracle_label_resident_bytes` gauge, as every applied
+    /// commit does. Compares every page pointer with the same position
+    /// of the other live generations, so it costs `O(|R|·|V| /
+    /// PAGE_LEN)` pointer compares per live generation and allocates
+    /// nothing.
+    pub fn label_residency(&self) -> LabelResidency {
+        let residency = self.backend.label_residency();
+        facade_metrics().resident_bytes.set(residency.bytes as u64);
+        residency
     }
 
     /// Exact distance; `None` when disconnected/unreachable or out of
@@ -1126,6 +1152,12 @@ impl UpdateSession<'_> {
         };
         let seq = oracle.batches_committed;
         oracle.batches_committed += 1;
+        let m = facade_metrics();
+        m.pages_copied.set(stats.pages_copied as u64);
+        m.blocks_resealed.set(stats.blocks_resealed as u64);
+        // Sets the resident-bytes gauge: a pointer walk over the live
+        // generations, small next to the apply.
+        oracle.label_residency();
         // The batch is applied and (when attached) durable: only now is
         // its txn id remembered — a failed commit must stay retryable.
         if let Some(txn) = self.txn {
@@ -1473,6 +1505,65 @@ mod tests {
                 counter: TXN_DEDUP_CAPACITY as u64 - 1,
             })
             .is_some());
+    }
+
+    #[test]
+    fn checkpoints_and_generations_share_label_memory() {
+        let dir = tmp_dir("residency");
+        let g = batchhl_graph::generators::barabasi_albert(3_000, 3, 7);
+        let mut oracle = Oracle::builder().top_degree_landmarks(6).build(g).unwrap();
+        let one = oracle.label_residency();
+        oracle
+            .persist_to(
+                &dir,
+                DurabilityConfig {
+                    checkpoint_every: Some(1),
+                    fsync: FsyncPolicy::Never,
+                },
+            )
+            .unwrap();
+        let stats = oracle
+            .update()
+            .insert(1, 2_999)
+            .remove(0, 1)
+            .commit()
+            .unwrap();
+        assert!(
+            stats.pages_copied > 0 && stats.blocks_resealed > 0,
+            "{stats:?}"
+        );
+        // The commit itself set the gauges (other tests share the
+        // global registry, but every value they set is nonzero too).
+        let text = batchhl_common::metrics::global().render();
+        let resident: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("batchhl_oracle_label_resident_bytes "))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("resident bytes gauge rendered");
+        assert!(resident > 0, "{text}");
+        oracle.reader().query(5, 2_990);
+        // The writer's buffer, the published generation and the retired
+        // one the writer keeps cost one labelling plus what the commit
+        // copied and re-sealed: the checkpoint sealed no mirror of its
+        // own, and no copy holds a private page it did not write.
+        let all = oracle.label_residency();
+        assert!(all.copies >= 2, "{all:?}");
+        assert!(
+            all.pages <= one.pages + stats.pages_copied,
+            "{all:?} vs {one:?}"
+        );
+        assert!(
+            all.blocks <= one.blocks + stats.blocks_resealed,
+            "{all:?} vs {one:?}"
+        );
+        for gauge in [
+            "batchhl_oracle_label_pages_copied",
+            "batchhl_oracle_label_blocks_resealed",
+            "batchhl_oracle_label_resident_bytes",
+        ] {
+            assert!(text.contains(&format!("# TYPE {gauge} gauge")), "{gauge}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
